@@ -208,6 +208,7 @@ void BM_FrameVerify(benchmark::State& state) {
     auto meta = media::verify_frame_payload(payload);
     benchmark::DoNotOptimize(meta);
   }
+  state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(state.iterations() * 6000);
 }
 BENCHMARK(BM_FrameVerify);

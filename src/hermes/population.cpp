@@ -503,12 +503,14 @@ PopulationResult run_population(const PopulationConfig& cfg, int threads) {
            std::tie(b.t_us, b.session, b.kind, b.a);
   });
 
-  // Merge per-partition hubs into one root before the summary rows so each
-  // session's QoE record (split field-disjointly across partitions) is whole.
-  telemetry::Hub root;
+  // Fold the per-partition QoE collectors into one before the summary rows so
+  // each session's QoE record (split field-disjointly across partitions) is
+  // whole. Only QoE is folded: the partition tracers and metrics are not
+  // exported here, and an exporter wanting a merged trace must merge and
+  // sort the hubs itself (Hub::merge_from, SpanTracer::stable_sort_by_time).
+  telemetry::QoeCollector root_qoe;
   if (cfg.telemetry) {
-    for (const auto& hub : hubs) root.merge_from(*hub);
-    root.tracer().stable_sort_by_time();
+    for (const auto& hub : hubs) root_qoe.merge_from(hub->qoe());
   }
 
   std::string csv = "t_us,session,event,a\n";
@@ -524,7 +526,7 @@ PopulationResult run_population(const PopulationConfig& cfg, int threads) {
   }
   for (std::size_t i = 0; i < states.size(); ++i) {
     const auto* rec = cfg.telemetry
-                          ? root.qoe().find(static_cast<std::uint32_t>(i) + 1)
+                          ? root_qoe.find(static_cast<std::uint32_t>(i) + 1)
                           : nullptr;
     csv += "S,";
     csv += std::to_string(i);
@@ -573,7 +575,7 @@ PopulationResult run_population(const PopulationConfig& cfg, int threads) {
   h = fnv1a_mix(h, static_cast<std::uint64_t>(r.faults_injected));
   r.fingerprint = h;
 
-  if (cfg.telemetry) r.qoe_json = root.qoe().to_json();
+  if (cfg.telemetry) r.qoe_json = root_qoe.to_json();
 
   const media::FrameCache::Stats cache_stats = cache->stats();
   r.cache_hits = cache_stats.hits;

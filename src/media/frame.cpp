@@ -7,6 +7,7 @@ namespace hyms::media {
 namespace {
 constexpr std::uint32_t kMagic = 0x48594D46;  // "HYMF"
 constexpr std::size_t kHeaderBytes = kFrameHeaderBytes;
+constexpr std::size_t kWordBytes = 8;
 
 std::uint64_t body_stream_seed(std::uint32_t source_hash, std::int64_t index,
                                int level) {
@@ -17,11 +18,36 @@ std::uint64_t body_stream_seed(std::uint32_t source_hash, std::int64_t index,
   return x;
 }
 
-std::uint8_t next_body_byte(std::uint64_t& state) {
+/// One xorshift64 step; the new state is the next 8 body bytes.
+std::uint64_t next_body_word(std::uint64_t& state) {
   state ^= state << 13;
   state ^= state >> 7;
   state ^= state << 17;
-  return static_cast<std::uint8_t>(state);
+  return state;
+}
+
+// Little-endian byte order assembled byte by byte, so the stream does not
+// depend on the host; compilers fold each into one 64-bit access.
+void store_le64(std::uint8_t* p, std::uint64_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+  p[4] = static_cast<std::uint8_t>(v >> 32);
+  p[5] = static_cast<std::uint8_t>(v >> 40);
+  p[6] = static_cast<std::uint8_t>(v >> 48);
+  p[7] = static_cast<std::uint8_t>(v >> 56);
+}
+
+std::uint64_t load_le64(const std::uint8_t* p) {
+  return static_cast<std::uint64_t>(p[0]) |
+         static_cast<std::uint64_t>(p[1]) << 8 |
+         static_cast<std::uint64_t>(p[2]) << 16 |
+         static_cast<std::uint64_t>(p[3]) << 24 |
+         static_cast<std::uint64_t>(p[4]) << 32 |
+         static_cast<std::uint64_t>(p[5]) << 40 |
+         static_cast<std::uint64_t>(p[6]) << 48 |
+         static_cast<std::uint64_t>(p[7]) << 56;
 }
 }  // namespace
 
@@ -48,9 +74,18 @@ std::vector<std::uint8_t> encode_frame_payload(std::uint32_t source_hash,
   w.i64(index);
   w.u8(static_cast<std::uint8_t>(quality_level));
   w.u32(static_cast<std::uint32_t>(body_len));
+  out.resize(total_bytes);
+  std::uint8_t* body = out.data() + kHeaderBytes;
   std::uint64_t state = body_stream_seed(source_hash, index, quality_level);
-  for (std::size_t i = 0; i < body_len; ++i) {
-    out.push_back(next_body_byte(state));
+  const std::size_t full = body_len / kWordBytes * kWordBytes;
+  for (std::size_t i = 0; i < full; i += kWordBytes) {
+    store_le64(body + i, next_body_word(state));
+  }
+  if (full < body_len) {
+    const std::uint64_t last = next_body_word(state);
+    for (std::size_t i = full; i < body_len; ++i) {
+      body[i] = static_cast<std::uint8_t>(last >> (8 * (i - full)));
+    }
   }
   return out;
 }
@@ -66,11 +101,21 @@ std::optional<FrameBody> verify_frame_payload(
   meta.quality_level = r.u8();
   const std::uint32_t body_len = r.u32();
   if (r.remaining() != body_len) return std::nullopt;
+  const std::uint8_t* body = r.cursor();
   std::uint64_t state =
       body_stream_seed(meta.source_hash, meta.index, meta.quality_level);
-  for (std::uint32_t i = 0; i < body_len; ++i) {
-    if (r.u8() != next_body_byte(state)) return std::nullopt;
+  const std::size_t full = body_len / kWordBytes * kWordBytes;
+  std::uint64_t diff = 0;
+  for (std::size_t i = 0; i < full; i += kWordBytes) {
+    diff |= load_le64(body + i) ^ next_body_word(state);
   }
+  if (full < body_len) {
+    const std::uint64_t last = next_body_word(state);
+    for (std::size_t i = full; i < body_len; ++i) {
+      diff |= body[i] ^ static_cast<std::uint8_t>(last >> (8 * (i - full)));
+    }
+  }
+  if (diff != 0) return std::nullopt;
   return meta;
 }
 

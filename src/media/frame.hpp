@@ -22,9 +22,13 @@ struct MediaFrame {
 
 /// Frame payload layout (deterministic, integrity-checkable):
 ///   magic(4) source_hash(4) index(8) level(1) body_len(4) body(body_len)
-/// Body bytes are a cheap xorshift stream keyed by (source_hash, index,
-/// level), so any truncation or corruption en route is detectable without
-/// shipping real codec data.
+/// Header fields are big-endian. The body is an xorshift64 stream keyed by
+/// (source_hash, index, level): each step's full 64-bit state supplies the
+/// next 8 body bytes, little-endian, and when body_len is not a multiple of
+/// 8 one more step supplies the last 1-7 bytes from its low bytes. The
+/// verifier regenerates the stream and compares every body byte, so any
+/// truncation or corruption en route is detectable without shipping real
+/// codec data.
 struct FrameBody {
   std::uint32_t source_hash = 0;
   std::int64_t index = 0;

@@ -44,10 +44,11 @@ class Hub {
 
   /// Fold another hub into this one: counters add, gauges take the other's
   /// value, histograms merge bucket-wise, trace records append with names
-  /// re-interned. Used at flush time to collapse the parallel executor's
-  /// per-partition hubs into one exportable root; call
-  /// tracer().stable_sort_by_time() after the last merge for a canonical
-  /// timeline.
+  /// re-interned. An exporter that wants one trace of a partitioned run
+  /// merges the per-partition hubs on demand (as net::run_star_world does)
+  /// and calls tracer().stable_sort_by_time() after the last merge for a
+  /// canonical timeline. hermes::run_population builds no merged root: it
+  /// folds only the QoE collectors (QoeCollector::merge_from).
   void merge_from(const Hub& other) {
     metrics_.merge_from(other.metrics());
     tracer_.merge_from(other.tracer());

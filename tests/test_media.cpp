@@ -132,6 +132,35 @@ TEST(FramePayloadTest, DistinctKeysGiveDistinctBodies) {
   EXPECT_NE(a, c);
 }
 
+TEST(FramePayloadTest, BodyFormatIsPinned) {
+  // One xorshift64 step per 8 body bytes, little-endian; the 479-byte body
+  // ends in a 7-byte partial word taken from the low bytes of one more step.
+  const auto payload = encode_frame_payload(0xABCD, 42, 3, 500);
+  ASSERT_EQ(payload.size(), 500u);
+  const std::vector<std::uint8_t> head(payload.begin() + kFrameHeaderBytes,
+                                       payload.begin() + kFrameHeaderBytes + 16);
+  const std::vector<std::uint8_t> tail(payload.end() - 5, payload.end());
+  EXPECT_EQ(head, (std::vector<std::uint8_t>{0x07, 0x07, 0xA2, 0x04, 0x7E,
+                                             0xBA, 0xFB, 0x39, 0xC9, 0x62,
+                                             0x58, 0x55, 0x8B, 0x33, 0x16,
+                                             0x6A}));
+  EXPECT_EQ(tail, (std::vector<std::uint8_t>{0x7A, 0x36, 0x27, 0xBA, 0xF5}));
+}
+
+TEST(FramePayloadTest, RoundTripsEveryTailLength) {
+  // 0..20 hit the header floor; 21..40 give body lengths 0..19, so every
+  // tail length 0..7 appears both alone and after a full word.
+  for (std::size_t total = 0; total <= 40; ++total) {
+    const auto payload = encode_frame_payload(0x5EED, 7, 2, total);
+    ASSERT_EQ(payload.size(), encoded_frame_size(total)) << total;
+    const auto meta = verify_frame_payload(payload);
+    ASSERT_TRUE(meta.has_value()) << total;
+    EXPECT_EQ(meta->source_hash, 0x5EEDu);
+    EXPECT_EQ(meta->index, 7);
+    EXPECT_EQ(meta->quality_level, 2);
+  }
+}
+
 TEST(FramePayloadTest, SourceNameHashStable) {
   EXPECT_EQ(hash_source_name("video:mpeg:x"), hash_source_name("video:mpeg:x"));
   EXPECT_NE(hash_source_name("a"), hash_source_name("b"));

@@ -9,7 +9,9 @@
 #include "hermes/sample_content.hpp"
 #include "markup/parser.hpp"
 #include "markup/writer.hpp"
+#include "media/frame.hpp"
 #include "net/network.hpp"
+#include "net/wire.hpp"
 #include "proto/messages.hpp"
 #include "rtp/session.hpp"
 #include "sim/simulator.hpp"
@@ -91,6 +93,130 @@ TEST_P(ProtoFuzz, TruncatedValidFramesNeverCrash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtoFuzz,
+                         ::testing::Range<std::uint64_t>(1, 5));
+
+// --- frame payload verifier fuzzing ----------------------------------------------------
+
+/// Property: verify_frame_payload never crashes or reads past the payload
+/// (the ASan build runs these), and it accepts a payload only if that payload
+/// is byte for byte the encoding of the identity it decodes to.
+class FramePayloadFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+void expect_genuine(const std::vector<std::uint8_t>& payload,
+                    const media::FrameBody& meta) {
+  EXPECT_EQ(payload, media::encode_frame_payload(meta.source_hash, meta.index,
+                                                 meta.quality_level,
+                                                 payload.size()));
+}
+
+/// A header with the frame magic and the given body_len, so random input
+/// gets past the magic check and exercises the length and body checks.
+std::vector<std::uint8_t> frame_header(util::Rng& rng, std::uint32_t body_len) {
+  std::vector<std::uint8_t> out;
+  net::WireWriter w(out);
+  w.u32(0x48594D46);  // "HYMF"
+  w.u32(static_cast<std::uint32_t>(rng.below(1ULL << 32)));
+  w.u64(rng.below(1ULL << 62));
+  w.u8(static_cast<std::uint8_t>(rng.below(256)));
+  w.u32(body_len);
+  return out;
+}
+
+TEST_P(FramePayloadFuzz, RandomBytesAcceptedOnlyWhenGenuine) {
+  util::Rng rng(GetParam());
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<std::uint8_t> payload;
+    if (round % 2 == 1) {
+      payload = frame_header(rng, static_cast<std::uint32_t>(rng.below(48)));
+    }
+    const auto extra = rng.below(65 - payload.size());
+    for (std::uint64_t i = 0; i < extra; ++i) {
+      payload.push_back(static_cast<std::uint8_t>(rng.below(256)));
+    }
+    const auto meta = media::verify_frame_payload(payload);
+    if (meta) expect_genuine(payload, *meta);
+  }
+}
+
+TEST_P(FramePayloadFuzz, BodyLenDisagreeingWithSizeRejected) {
+  util::Rng rng(GetParam() + 17);
+  for (std::uint32_t body = 0; body <= 40; ++body) {
+    const auto full = media::encode_frame_payload(
+        static_cast<std::uint32_t>(rng.below(1ULL << 32)),
+        static_cast<std::int64_t>(rng.below(1ULL << 40)),
+        static_cast<int>(rng.below(8)), media::kFrameHeaderBytes + body);
+    for (const std::uint32_t claimed :
+         {0u, body - 1, body + 1, body + 8, 0x7FFFFFFFu, 0xFFFFFFFFu}) {
+      if (claimed == body) continue;
+      auto payload = full;
+      for (int b = 0; b < 4; ++b) {
+        payload[17 + b] = static_cast<std::uint8_t>(claimed >> (24 - 8 * b));
+      }
+      EXPECT_FALSE(media::verify_frame_payload(payload).has_value())
+          << "body " << body << " claimed " << claimed;
+    }
+    // Right body_len, wrong size: one byte appended or dropped.
+    auto longer = full;
+    longer.push_back(0);
+    EXPECT_FALSE(media::verify_frame_payload(longer).has_value()) << body;
+    if (body > 0) {
+      auto shorter = full;
+      shorter.pop_back();
+      EXPECT_FALSE(media::verify_frame_payload(shorter).has_value()) << body;
+    }
+  }
+}
+
+TEST_P(FramePayloadFuzz, TruncatedValidPayloadsRejected) {
+  util::Rng rng(GetParam() + 99);
+  const auto full = media::encode_frame_payload(
+      static_cast<std::uint32_t>(rng.below(1ULL << 32)),
+      static_cast<std::int64_t>(rng.below(1ULL << 40)),
+      static_cast<int>(rng.below(8)),
+      media::kFrameHeaderBytes + rng.below(80));
+  ASSERT_TRUE(media::verify_frame_payload(full).has_value());
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    const std::vector<std::uint8_t> payload(
+        full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_FALSE(media::verify_frame_payload(payload).has_value())
+        << "truncated to " << cut << " of " << full.size() << " bytes";
+  }
+}
+
+TEST_P(FramePayloadFuzz, SingleBitFlipsRejected) {
+  // Body lengths 0..40 cover every tail length 0..7 and put a flipped byte
+  // in each of the 8 lanes of a full word.
+  util::Rng rng(GetParam() * 7 + 3);
+  for (std::size_t body = 0; body <= 40; ++body) {
+    const media::FrameBody id{static_cast<std::uint32_t>(rng.below(1ULL << 32)),
+                              static_cast<std::int64_t>(rng.below(1ULL << 40)),
+                              static_cast<int>(rng.below(8))};
+    const auto full = media::encode_frame_payload(
+        id.source_hash, id.index, id.quality_level,
+        media::kFrameHeaderBytes + body);
+    for (std::size_t pos = 0; pos < full.size(); ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto payload = full;
+        payload[pos] ^= static_cast<std::uint8_t>(1u << bit);
+        const auto meta = media::verify_frame_payload(payload);
+        if (!meta) continue;
+        // A flip in source_hash, index or level (bytes 4..16) changes the
+        // stream seed. The first full word always differs then, but a body
+        // shorter than one word can happen to match the other stream, and
+        // an empty body always does: the result is the genuine payload of
+        // another frame, never the original passed off as intact.
+        EXPECT_TRUE(pos >= 4 && pos < 17 && body < 8)
+            << "body " << body << " byte " << pos << " bit " << bit;
+        EXPECT_FALSE(meta->source_hash == id.source_hash &&
+                     meta->index == id.index &&
+                     meta->quality_level == id.quality_level);
+        expect_genuine(payload, *meta);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FramePayloadFuzz,
                          ::testing::Range<std::uint64_t>(1, 5));
 
 // --- RTP sequence wraparound ----------------------------------------------------------

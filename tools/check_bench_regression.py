@@ -7,7 +7,8 @@ Understands three JSON schemas, sniffed per file:
   items_per_second for every benchmark in the guarded families present in
   both files: BM_PacketForwarding* (the steady-state batched path, the
   unbatched reference path, the train path, and the telemetry-on variant)
-  plus the frame-cache pair BM_FrameSynthesis / BM_FrameCacheHit.
+  plus the frame-cache pair BM_FrameSynthesis / BM_FrameCacheHit and the
+  client-side frame check BM_FrameVerify.
 
 - bench_shared_world JSON (context.benchmark == "bench_shared_world"):
   compares events_per_sec for every (partitions, threads) cell present in
@@ -47,7 +48,7 @@ import json
 import sys
 
 FAMILY_PREFIXES = ("BM_PacketForwarding", "BM_FrameSynthesis",
-                   "BM_FrameCacheHit")
+                   "BM_FrameCacheHit", "BM_FrameVerify")
 
 # context.benchmark -> synthetic cell-name prefix
 CELL_SCHEMAS = {
