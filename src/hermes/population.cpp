@@ -199,8 +199,8 @@ struct SessionState {
 /// keeps its patience alive — the user is watching a live queue position,
 /// and every stay is bounded by the server's queue deadline plus the
 /// client's retry budget, so this cannot extend forever. A session merely
-/// mid-retry gets ONE extension ("the system said come back") and then
-/// abandons for real.
+/// mid-retry gets SessionState::extensions_left (three) extensions ("the
+/// system said come back") and then abandons for real.
 void check_impatience(sim::Simulator& psim, SessionState* st,
                       std::vector<LogEntry>* log, std::size_t sid,
                       Time patience) {
@@ -506,8 +506,7 @@ PopulationResult run_population(const PopulationConfig& cfg, int threads) {
   // Fold the per-partition QoE collectors into one before the summary rows so
   // each session's QoE record (split field-disjointly across partitions) is
   // whole. Only QoE is folded: the partition tracers and metrics are not
-  // exported here, and an exporter wanting a merged trace must merge and
-  // sort the hubs itself (Hub::merge_from, SpanTracer::stable_sort_by_time).
+  // exported here.
   telemetry::QoeCollector root_qoe;
   if (cfg.telemetry) {
     for (const auto& hub : hubs) root_qoe.merge_from(hub->qoe());

@@ -24,10 +24,13 @@ Link::Link(sim::Simulator& sim, std::string name, LinkParams params,
 
 Link::~Link() { deliver_sim_->cancel(chain_event_); }
 
-void Link::make_conduit(sim::Simulator& dst_sim, Conduit conduit) {
+void Link::make_conduit(sim::Simulator& dst_sim, sim::ParallelExec& exec,
+                        std::uint32_t src_partition,
+                        std::uint32_t dst_partition) {
   deliver_sim_ = &dst_sim;
-  conduit_ = conduit;
-  is_conduit_ = conduit.crosses();
+  exec_ = &exec;
+  src_partition_ = src_partition;
+  dst_partition_ = dst_partition;
 }
 
 Time Link::serialization_time(std::size_t bytes) const {
@@ -68,7 +71,7 @@ void Link::transmit(Packet&& pkt) {
     drop_down(std::move(pkt));
     return;
   }
-  if (is_conduit_) {
+  if (is_conduit()) {
     offer(std::move(pkt), sim_.now());
     flush_mailbox();
     return;
@@ -86,7 +89,7 @@ void Link::send_train(std::vector<Packet>& train) {
     train.clear();
     return;
   }
-  if (is_conduit_) {
+  if (is_conduit()) {
     const Time now = sim_.now();
     mailbox_.reserve(mailbox_.size() + train.size());
     for (auto& pkt : train) offer(std::move(pkt), now);
@@ -184,10 +187,10 @@ void Link::offer(Packet&& pkt, Time t_offer) {
                           static_cast<double>(queued_bytes_));
   }
 
-  if (is_conduit_) {
+  if (is_conduit()) {
     // Admission arithmetic above is byte-identical to the local path; only
     // the hand-off differs. The packet waits in the mailbox until the
-    // enclosing transmit()/send_train() posts the batch through the conduit.
+    // enclosing transmit()/send_train() posts the batch to the executor.
     mailbox_.push_back(PendingArrival{std::move(pkt), arrival});
     return;
   }
@@ -225,9 +228,10 @@ void Link::flush_mailbox() {
   // earliest >= now + propagation >= now + lookahead, satisfying the
   // executor's post contract; the thunk runs at the next barrier with no
   // partition executing, so touching the calendar there is race-free.
-  conduit_.post(earliest, [this, items = std::move(mailbox_)]() mutable {
-    accept_mailed(std::move(items));
-  });
+  exec_->post(src_partition_, dst_partition_, earliest,
+              [this, items = std::move(mailbox_)]() mutable {
+                accept_mailed(std::move(items));
+              });
   mailbox_ = {};
 }
 
@@ -252,7 +256,7 @@ void Link::fire_chain() {
   // source-side admission state, so both stay untouched here (transit drains
   // lazily at the next offer).
   sim::Simulator& dsim = *deliver_sim_;
-  auto* hub = is_conduit_ ? nullptr : sim_.telemetry();
+  auto* hub = is_conduit() ? nullptr : sim_.telemetry();
   const Time fired_at = dsim.now();
   Time last_delivered = fired_at;
   std::int64_t delivered_here = 0;
@@ -278,7 +282,7 @@ void Link::fire_chain() {
         break;
       }
       dsim.advance_now(arrival);
-      if (!is_conduit_) drain_transit(arrival);
+      if (!is_conduit()) drain_transit(arrival);
     }
     Packet pkt = std::move(calendar_[calendar_head_].pkt);
     ++calendar_head_;

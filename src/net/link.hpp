@@ -6,9 +6,9 @@
 #include <string>
 #include <vector>
 
-#include "net/conduit.hpp"
 #include "net/loss.hpp"
 #include "net/packet.hpp"
+#include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
 
@@ -54,20 +54,23 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Turn this link into a cross-partition *conduit*: admission (queue,
+  /// Turn this link into a cross-partition *conduit* from partition
+  /// `src_partition` to a different `dst_partition`: admission (queue,
   /// loss, serialization, jitter — every RNG draw and timestamp) still runs
   /// on the source partition's simulator exactly as in the local batched
-  /// path, but admitted packets are mailed through `conduit` and parked in
-  /// the arrival calendar at the next executor barrier; the chained delivery
-  /// event then runs on `dst_sim` (the far endpoint's partition). Requires
-  /// params().propagation >= the executor lookahead for the lifetime of the
-  /// link — a push_override() must not lower a cross link's propagation
-  /// below it. Conduits always use the calendar path (the per-packet
-  /// unbatched reference path would schedule onto the far simulator from the
-  /// source thread), and skip per-event tracer emission (the trace track
-  /// lives in the source partition's hub; counters still flush post-run).
-  void make_conduit(sim::Simulator& dst_sim, Conduit conduit);
-  [[nodiscard]] bool is_conduit() const { return is_conduit_; }
+  /// path, but admitted packets are mailed through `exec`'s post() and
+  /// parked in the arrival calendar at the next executor barrier; the
+  /// chained delivery event then runs on `dst_sim` (the far endpoint's
+  /// partition). Requires params().propagation >= the executor lookahead for
+  /// the lifetime of the link — a push_override() must not lower a cross
+  /// link's propagation below it (post() throws when the contract breaks).
+  /// Conduits always use the calendar path (the per-packet unbatched
+  /// reference path would schedule onto the far simulator from the source
+  /// thread), and skip per-event tracer emission (the trace track lives in
+  /// the source partition's hub; counters still flush post-run).
+  void make_conduit(sim::Simulator& dst_sim, sim::ParallelExec& exec,
+                    std::uint32_t src_partition, std::uint32_t dst_partition);
+  [[nodiscard]] bool is_conduit() const { return exec_ != nullptr; }
 
   /// Offer a packet to the link. May drop (queue full or loss model); on
   /// success schedules delivery at the far end.
@@ -155,8 +158,8 @@ class Link {
   /// re-arming the chain when the head changes. Shared by the local batched
   /// path (at offer time) and the conduit path (at the executor barrier).
   void insert_calendar(PendingArrival&& item);
-  /// Conduit path: mail the admitted packets buffered by offer() through the
-  /// conduit; the thunk parks them in the calendar at the next barrier.
+  /// The conduit path: mail the admitted packets buffered by offer() through
+  /// the executor; the thunk parks them in the calendar at the next barrier.
   void flush_mailbox();
   /// Runs at the executor barrier (no partition executing): park mailed
   /// packets in the calendar and arm the chain on the delivery simulator.
@@ -192,12 +195,14 @@ class Link {
   std::size_t transit_head_ = 0;
   sim::EventId chain_event_ = sim::kNoEvent;
 
-  // Conduit-mode state. deliver_sim_ owns the calendar's chain event (== the
-  // source simulator for ordinary links); mailbox_ buffers admissions within
-  // one transmit/send_train call until flush_mailbox() posts them.
+  // State of a conduit (exec_ is null for ordinary links). deliver_sim_ owns
+  // the calendar's chain event (== the source simulator for ordinary links);
+  // mailbox_ buffers admissions within one transmit/send_train call until
+  // flush_mailbox() posts them.
   sim::Simulator* deliver_sim_ = &sim_;
-  Conduit conduit_;
-  bool is_conduit_ = false;
+  sim::ParallelExec* exec_ = nullptr;
+  std::uint32_t src_partition_ = 0;
+  std::uint32_t dst_partition_ = 0;
   std::vector<PendingArrival> mailbox_;
 
   // Trace ids, interned once at construction when a telemetry hub is

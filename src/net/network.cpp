@@ -1,5 +1,6 @@
 #include "net/network.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <stdexcept>
 
@@ -13,8 +14,7 @@ void DatagramSocket::send(Endpoint dst, Payload payload) {
 
 Network::Network(std::vector<sim::Simulator*> sims, sim::ParallelExec* exec)
     : sims_(std::move(sims)), exec_(exec),
-      rng_(sims_.at(0)->rng().fork(0x4E4554)), map_(sims_.size()),
-      shards_(sims_.size()) {
+      rng_(sims_.at(0)->rng().fork(0x4E4554)), shards_(sims_.size()) {
   if (sims_.size() > 1 && exec_ == nullptr) {
     throw std::invalid_argument(
         "Network: multiple partitions require a ParallelExec");
@@ -31,7 +31,6 @@ void Network::set_node_partition(NodeId node, std::uint32_t p) {
         "connect time)");
   }
   nodes_[node]->partition = p;
-  map_.assign(node, p);
 }
 
 NodeId Network::add_host(std::string name) {
@@ -49,7 +48,6 @@ NodeId Network::add_node(std::string name, bool is_host) {
   node->name = std::move(name);
   node->is_host = is_host;
   nodes_.push_back(std::move(node));
-  map_.assign(id, 0);
   routes_dirty_ = true;
   return id;
 }
@@ -65,6 +63,9 @@ std::pair<Link*, Link*> Network::connect(NodeId a, NodeId b,
   if (a >= nodes_.size() || b >= nodes_.size() || a == b) {
     throw std::invalid_argument("Network::connect: bad node ids");
   }
+  if (ab.propagation < Time::zero() || ba.propagation < Time::zero()) {
+    throw std::invalid_argument("Network::connect: negative propagation");
+  }
   auto make = [this](NodeId from, NodeId to, const LinkParams& p) {
     const std::uint32_t sp = nodes_[from]->partition;
     const std::uint32_t dp = nodes_[to]->partition;
@@ -72,17 +73,27 @@ std::pair<Link*, Link*> Network::connect(NodeId a, NodeId b,
         *sims_[sp], nodes_[from]->name + "->" + nodes_[to]->name, p, to,
         [this, to](Packet&& pkt) { deliver_at(to, std::move(pkt)); },
         rng_.fork(next_link_rng_++), &shards_[sp].pool);
-    if (sp != dp) link->make_conduit(*sims_[dp], Conduit(exec_, sp, dp));
+    if (sp != dp) link->make_conduit(*sims_[dp], *exec_, sp, dp);
     Link* raw = link.get();
     nodes_[from]->out_links.push_back(std::move(link));
     return raw;
   };
   Link* fwd = make(a, b, ab);
   Link* rev = make(b, a, ba);
-  map_.add_link(a, b, ab.propagation);
-  map_.add_link(b, a, ba.propagation);
   routes_dirty_ = true;
   return {fwd, rev};
+}
+
+Time Network::cross_lookahead() const {
+  Time lookahead = Time::max();
+  for (const auto& node : nodes_) {
+    for (const auto& link : node->out_links) {
+      if (link->is_conduit()) {
+        lookahead = std::min(lookahead, link->params().propagation);
+      }
+    }
+  }
+  return lookahead;
 }
 
 void Network::compute_routes() {
@@ -268,8 +279,7 @@ Network::Stats Network::stats() const {
 
 void Network::flush_telemetry() {
   // Post-run, single-threaded: merged net/* counters go to partition 0's
-  // hub; each link flushes into its own source partition's hub (families
-  // are disjoint, so a later Hub::merge_from sees no conflicts).
+  // hub; each link flushes into its own source partition's hub.
   auto* hub = sims_[0]->telemetry();
   if (hub == nullptr) return;
   const Stats total = stats();

@@ -8,7 +8,6 @@
 
 #include "net/link.hpp"
 #include "net/packet.hpp"
-#include "net/partition.hpp"
 #include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
@@ -92,15 +91,12 @@ class Network {
     return nodes_.at(node)->partition;
   }
   [[nodiscard]] std::size_t partition_count() const { return sims_.size(); }
-  /// Node->partition assignment + lookahead math, built automatically from
-  /// set_node_partition() and connect() calls.
-  [[nodiscard]] const PartitionMap& partition_map() const { return map_; }
-  /// Minimum propagation of any cross-partition link — the safe
-  /// ParallelExec lookahead for this topology (Time::max() if nothing
-  /// crosses).
-  [[nodiscard]] Time cross_lookahead() const {
-    return map_.cross_lookahead();
-  }
+  /// Minimum propagation of any cross-partition (conduit) link — the safe
+  /// ParallelExec lookahead for this topology. Links inside one partition
+  /// impose no constraint: their traffic never crosses a thread boundary.
+  /// Time::max() if nothing crosses; Time::zero() when a zero-latency link
+  /// crosses (degenerate single-timestamp windows).
+  [[nodiscard]] Time cross_lookahead() const;
   /// Compute routes eagerly. Partitioned runs must call this (or send once)
   /// before ParallelExec::run_until: the lazy first-send rebuild would
   /// otherwise race between partition threads.
@@ -110,7 +106,9 @@ class Network {
 
   /// Duplex connect with symmetric parameters.
   std::pair<Link*, Link*> connect(NodeId a, NodeId b, const LinkParams& both);
-  /// Duplex connect with per-direction parameters (a->b, b->a).
+  /// Duplex connect with per-direction parameters (a->b, b->a). Throws
+  /// std::invalid_argument — leaving the network untouched — on bad node
+  /// ids or a negative propagation delay.
   std::pair<Link*, Link*> connect(NodeId a, NodeId b, const LinkParams& ab,
                                   const LinkParams& ba);
 
@@ -229,7 +227,6 @@ class Network {
   std::vector<sim::Simulator*> sims_;
   sim::ParallelExec* exec_ = nullptr;
   util::Rng rng_;
-  PartitionMap map_;
   std::vector<Shard> shards_;
   std::vector<std::unique_ptr<Node>> nodes_;
   bool routes_dirty_ = true;

@@ -4,6 +4,7 @@
 #include <barrier>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 namespace hyms::sim {
@@ -28,6 +29,14 @@ void ParallelExec::post(std::uint32_t src, std::uint32_t dst, Time earliest,
     // destination's own thread, so schedule straight into the calendar.
     inject();
     return;
+  }
+  const Time now = sims_[src]->now();
+  const Time bound =
+      lookahead_ > Time::max() - now ? Time::max() : now + lookahead_;
+  if (earliest < bound) {
+    throw std::logic_error(
+        "ParallelExec::post: cross-partition message earlier than the "
+        "poster's clock + lookahead");
   }
   const std::size_t at = src * sims_.size() + dst;
   auto& box = outbox_[at];

@@ -44,8 +44,8 @@ class ParallelExec {
 
   /// Minimum delay of any cross-partition message, the conservative window
   /// width. Must be <= the real minimum cross-partition link latency
-  /// (net::PartitionMap::cross_lookahead computes it); smaller is correct
-  /// but slower. Zero degrades to single-timestamp windows.
+  /// (net::Network::cross_lookahead computes it); smaller is correct but
+  /// slower. Zero degrades to single-timestamp windows.
   void set_lookahead(Time lookahead) { lookahead_ = lookahead; }
   [[nodiscard]] Time lookahead() const { return lookahead_; }
 
@@ -53,10 +53,13 @@ class ParallelExec {
   /// the coordinator, with no partition executing) and must schedule the
   /// delivery event(s) — all at times >= `earliest` — into the destination
   /// partition's Simulator. `earliest` is the canonical sort key; it must be
-  /// >= the posting partition's clock + lookahead when src != dst.
-  /// Same-partition posts run the thunk immediately (no lookahead applies
-  /// inside a partition). Callable from the thread currently executing the
-  /// source partition, and from the coordinator between windows.
+  /// >= the posting partition's clock + lookahead when src != dst, or the
+  /// message could land inside a window another partition already ran —
+  /// a violation throws std::logic_error instead of silently breaking
+  /// byte-identity. Same-partition posts run the thunk immediately (no
+  /// lookahead applies inside a partition). Callable from the thread
+  /// currently executing the source partition, and from the coordinator
+  /// between windows.
   void post(std::uint32_t src, std::uint32_t dst, Time earliest,
             EventFn inject);
 

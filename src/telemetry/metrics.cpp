@@ -157,52 +157,6 @@ std::string MetricsRegistry::to_csv() const {
   return out;
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (MetricId oid = 0; oid < other.defs_.size(); ++oid) {
-    const Def& odef = other.defs_[oid];
-    switch (odef.kind) {
-      case MetricKind::kCounter: {
-        const MetricId id = counter(odef.name);
-        if (id != kInvalidMetricId) add(id, other.counters_[odef.slot]);
-        break;
-      }
-      case MetricKind::kGauge: {
-        const MetricId id = gauge(odef.name);
-        if (id != kInvalidMetricId) set(id, other.gauges_[odef.slot]);
-        break;
-      }
-      case MetricKind::kHistogram: {
-        const Hist& oh = other.hists_[odef.slot];
-        const MetricId id = histogram(odef.name, oh.spec);
-        if (id == kInvalidMetricId) break;
-        Hist& h = hists_[defs_[id].slot];
-        if (oh.total == 0) break;
-        // Bucket-for-bucket merge only when the specs agree; a spec mismatch
-        // would smear samples across wrong bucket edges, so skip instead.
-        if (h.spec.lo != oh.spec.lo || h.spec.hi != oh.spec.hi ||
-            h.counts.size() != oh.counts.size()) {
-          break;
-        }
-        if (h.total == 0) {
-          h.min = oh.min;
-          h.max = oh.max;
-        } else {
-          h.min = std::min(h.min, oh.min);
-          h.max = std::max(h.max, oh.max);
-        }
-        h.total += oh.total;
-        h.sum += oh.sum;
-        h.underflow += oh.underflow;
-        h.overflow += oh.overflow;
-        for (std::size_t i = 0; i < h.counts.size(); ++i) {
-          h.counts[i] += oh.counts[i];
-        }
-        break;
-      }
-    }
-  }
-}
-
 void MetricsRegistry::reset() {
   std::fill(counters_.begin(), counters_.end(), 0);
   std::fill(gauges_.begin(), gauges_.end(), 0.0);

@@ -92,16 +92,6 @@ class MetricsRegistry {
   /// level; count/percentile columns are empty for non-histograms).
   [[nodiscard]] std::string to_csv() const;
 
-  /// Fold another registry into this one, by metric *name* (ids differ
-  /// between registries). Counters add; gauges take the other registry's
-  /// value (a merged gauge is a point sample, so producers that need
-  /// per-partition values must use distinct names); histograms merge
-  /// bucket-for-bucket when the specs agree. A name whose kind (or histogram
-  /// spec) disagrees with an existing interning is skipped — merging never
-  /// corrupts this registry. The parallel executor's per-partition hubs fold
-  /// into one root hub through this at flush.
-  void merge_from(const MetricsRegistry& other);
-
   void reset();
 
  private:

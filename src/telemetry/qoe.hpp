@@ -13,8 +13,7 @@ namespace hyms::telemetry {
 
 /// Terminal quality-of-experience classification of one session. Mirrors
 /// client::SessionOutcome but lives in the telemetry layer so the QoE plane
-/// has no dependency on the client stack (the star world and tests fill
-/// records directly).
+/// has no dependency on the client stack (tests fill records directly).
 enum class QoeOutcome : std::uint8_t {
   kPending = 0,
   kCompleted,

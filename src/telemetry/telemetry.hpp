@@ -42,19 +42,6 @@ class Hub {
   /// Write the metric table as CSV to `path`.
   bool write_metrics_csv(const std::string& path) const;
 
-  /// Fold another hub into this one: counters add, gauges take the other's
-  /// value, histograms merge bucket-wise, trace records append with names
-  /// re-interned. An exporter that wants one trace of a partitioned run
-  /// merges the per-partition hubs on demand (as net::run_star_world does)
-  /// and calls tracer().stable_sort_by_time() after the last merge for a
-  /// canonical timeline. hermes::run_population builds no merged root: it
-  /// folds only the QoE collectors (QoeCollector::merge_from).
-  void merge_from(const Hub& other) {
-    metrics_.merge_from(other.metrics());
-    tracer_.merge_from(other.tracer());
-    qoe_.merge_from(other.qoe());
-  }
-
   void reset() {
     metrics_.reset();
     tracer_.reset();

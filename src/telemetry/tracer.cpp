@@ -146,37 +146,6 @@ std::string SpanTracer::to_chrome_json() const {
   return out;
 }
 
-void SpanTracer::merge_from(const SpanTracer& other) {
-  // Build the id translation tables once, then copy records with a pair of
-  // array lookups each — merging a million-record partition tracer must not
-  // binary-search per record.
-  std::vector<TrackId> track_map(other.track_names_.size());
-  for (std::size_t t = 0; t < other.track_names_.size(); ++t) {
-    track_map[t] = track(other.track_names_[t]);
-  }
-  std::vector<NameId> name_map(other.event_names_.size());
-  for (std::size_t n = 0; n < other.event_names_.size(); ++n) {
-    name_map[n] = name(other.event_names_[n]);
-  }
-  records_.reserve(records_.size() + other.records_.size());
-  for (Record r : other.records_) {
-    r.track = track_map[r.track];
-    if (r.name != kInvalidTraceId) r.name = name_map[r.name];
-    if (records_.size() >= max_records_) {
-      ++dropped_;
-      continue;
-    }
-    records_.push_back(r);
-  }
-  dropped_ += other.dropped_;
-}
-
-void SpanTracer::stable_sort_by_time() {
-  std::stable_sort(
-      records_.begin(), records_.end(),
-      [](const Record& a, const Record& b) { return a.ts_us < b.ts_us; });
-}
-
 std::string SpanTracer::to_csv() const {
   std::string out = "ts_us,track,phase,name,value\n";
   char buf[64];

@@ -108,18 +108,6 @@ class SpanTracer {
   /// Flat CSV of the raw records: "ts_us,track,phase,name,value\n".
   [[nodiscard]] std::string to_csv() const;
 
-  /// Append another tracer's records, re-interning its track and event names
-  /// into this tracer's tables. Respects this tracer's record cap (spillover
-  /// counts as dropped) and accumulates the other tracer's dropped count.
-  /// Intended for folding per-partition tracers into one root at flush;
-  /// follow with stable_sort_by_time() for a time-ordered merged timeline.
-  void merge_from(const SpanTracer& other);
-
-  /// Stable-sort records by timestamp. Records at equal timestamps keep
-  /// their current relative order, so merging partitions in index order then
-  /// sorting yields one canonical timeline independent of thread count.
-  void stable_sort_by_time();
-
   void reset() {
     records_.clear();
     dropped_ = 0;

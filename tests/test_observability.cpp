@@ -7,9 +7,8 @@
 //    idempotently;
 //  - SLO percentile math at the edge sample counts, and the commutative
 //    record merge;
-//  - the star world's QoE export is byte-identical across partition and
-//    thread counts;
 //  - QoE collection is passive: fingerprints match a bare run.
+// Partitioned QoE export identity is checked by test_population's sweeps.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +23,6 @@
 #include "harness.hpp"
 #include "hermes/deployment.hpp"
 #include "hermes/sample_content.hpp"
-#include "net/star_world.hpp"
 #include "proto/messages.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/qoe.hpp"
@@ -262,9 +260,9 @@ TEST(SloMath, ComplianceAndErrorBudget) {
 }
 
 TEST(SloMath, AddMergesFieldDisjointFills) {
-  // The star world's split: the server partition contributes quality
-  // grading, the client partition contributes delivery metrics. Merging the
-  // two partial records must equal a single-collector fill, in either order.
+  // A partitioned split: the server partition contributes quality grading,
+  // the client partition contributes delivery metrics. Merging the two
+  // partial records must equal a single-collector fill, in either order.
   QoeRecord server_side;
   server_side.trace_id = 4;
   server_side.quality_changes = 2;
@@ -291,28 +289,6 @@ TEST(SloMath, AddMergesFieldDisjointFills) {
     EXPECT_DOUBLE_EQ(rec->startup_ms, 41.5);
     EXPECT_EQ(rec->fresh_slots, 120);
     EXPECT_EQ(rec->outcome, QoeOutcome::kDegraded);
-  }
-}
-
-// --- partitioned QoE identity -------------------------------------------------
-
-TEST(QoePartitioned, StarWorldExportByteIdentical) {
-  net::StarWorldConfig cfg;
-  cfg.clients = 12;
-  cfg.seed = 11;
-  cfg.run_for = Time::sec(2);
-  cfg.server_bandwidth_bps = cfg.clients * 0.7e6;  // oversubscribed: drops
-  cfg.telemetry = true;
-
-  const auto seq = net::run_star_world(cfg);
-  ASSERT_FALSE(seq.qoe_json.empty());
-  EXPECT_NE(seq.qoe_json.find("hyms-slo-v1"), std::string::npos);
-
-  cfg.partitions = 3;
-  for (const int threads : {1, 2, 4}) {
-    const auto par = net::run_star_world(cfg, threads);
-    EXPECT_EQ(par.fingerprint, seq.fingerprint) << threads << " threads";
-    EXPECT_EQ(par.qoe_json, seq.qoe_json) << threads << " threads";
   }
 }
 

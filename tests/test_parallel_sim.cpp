@@ -1,62 +1,96 @@
-// Conservative parallel execution: the ParallelExec window/mailbox machinery,
-// PartitionMap lookahead math, telemetry merge-at-flush, and the acceptance
-// gate — same-seed star-world runs at any partition/thread count are
-// byte-identical (fingerprint AND canonical event log) to the sequential
-// single-calendar kernel. CI additionally runs this binary under TSan to
-// prove the barrier-windowed handoff is race-free.
+// Conservative parallel execution: the ParallelExec window/mailbox machinery
+// (canonical merge order, degenerate zero-lookahead windows, the post()
+// lookahead contract) and the Network's cross-partition lookahead math.
+// Full-stack partitioned-vs-sequential byte-identity lives in
+// test_population. CI additionally runs this binary under TSan to prove the
+// barrier-windowed handoff is race-free.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "net/partition.hpp"
-#include "net/star_world.hpp"
+#include "net/network.hpp"
 #include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace hyms {
 namespace {
 
-// --- PartitionMap ------------------------------------------------------------
+// --- Network::cross_lookahead ----------------------------------------------
 
-TEST(PartitionMapTest, LookaheadIsMinAcrossBoundariesOnly) {
-  net::PartitionMap map(2);
-  map.assign(0, 0);
-  map.assign(1, 0);
-  map.assign(2, 1);
-  map.add_link(0, 1, Time::usec(10));    // intra-partition: no constraint
-  map.add_link(0, 2, Time::msec(5));     // crosses
-  map.add_link(2, 1, Time::msec(2));     // crosses
-  EXPECT_EQ(map.cross_lookahead(), Time::msec(2));
-  EXPECT_EQ(map.cross_link_count(), 2u);
-  EXPECT_FALSE(map.has_zero_latency_cross_link());
+/// Two partition kernels, their executor and a Network over both. Nodes
+/// default to partition 0.
+struct TwoPartitions {
+  sim::Simulator s0, s1;
+  sim::ParallelExec exec;
+  net::Network net{{&s0, &s1}, &exec};
+
+  TwoPartitions() {
+    exec.add_partition(s0);
+    exec.add_partition(s1);
+  }
+  net::NodeId host_on(std::uint32_t partition) {
+    const net::NodeId node =
+        net.add_host("h" + std::to_string(net.node_count()));
+    net.set_node_partition(node, partition);
+    return node;
+  }
+};
+
+net::LinkParams with_propagation(Time propagation) {
+  net::LinkParams params;
+  params.propagation = propagation;
+  return params;
 }
 
-TEST(PartitionMapTest, NoCrossLinksMeansUnboundedLookahead) {
-  net::PartitionMap map(2);
-  map.assign(0, 0);
-  map.assign(1, 1);
-  EXPECT_EQ(map.cross_lookahead(), Time::max());
-  map.add_link(0, 0, Time::usec(1));
-  EXPECT_EQ(map.cross_lookahead(), Time::max());
+TEST(CrossLookaheadTest, MinimumOverCrossingLinksOnly) {
+  TwoPartitions w;
+  const net::NodeId a = w.host_on(0);
+  const net::NodeId b = w.host_on(0);
+  const net::NodeId c = w.host_on(1);
+  w.net.connect(a, b, with_propagation(Time::usec(10)));  // no constraint
+  w.net.connect(a, c, with_propagation(Time::msec(5)));   // crosses
+  w.net.connect(c, b, with_propagation(Time::msec(2)));   // crosses
+  EXPECT_EQ(w.net.cross_lookahead(), Time::msec(2));
+  EXPECT_FALSE(w.net.find_link(a, b)->is_conduit());
+  EXPECT_TRUE(w.net.find_link(a, c)->is_conduit());
+  EXPECT_TRUE(w.net.find_link(b, c)->is_conduit());
 }
 
-TEST(PartitionMapTest, ZeroLatencyCrossLinkDetected) {
-  net::PartitionMap map(2);
-  map.assign(0, 0);
-  map.assign(1, 1);
-  map.add_link(0, 1, Time::zero());
-  EXPECT_TRUE(map.has_zero_latency_cross_link());
-  EXPECT_EQ(map.cross_lookahead(), Time::zero());
+TEST(CrossLookaheadTest, NothingCrossingMeansUnboundedLookahead) {
+  TwoPartitions w;
+  const net::NodeId a = w.host_on(1);
+  const net::NodeId b = w.host_on(1);
+  w.host_on(0);  // the other partition is populated, but no link reaches it
+  EXPECT_EQ(w.net.cross_lookahead(), Time::max());
+  w.net.connect(a, b, with_propagation(Time::usec(1)));  // inside partition 1
+  EXPECT_EQ(w.net.cross_lookahead(), Time::max());
 }
 
-TEST(PartitionMapTest, RejectsBadInput) {
-  net::PartitionMap map(2);
-  EXPECT_THROW(map.assign(0, 2), std::invalid_argument);
-  EXPECT_THROW(map.add_link(0, 1, Time::usec(-1)), std::invalid_argument);
+TEST(CrossLookaheadTest, ZeroLatencyCrossingLinkGivesZero) {
+  TwoPartitions w;
+  const net::NodeId a = w.host_on(0);
+  const net::NodeId b = w.host_on(1);
+  w.net.connect(a, b, with_propagation(Time::zero()));
+  EXPECT_TRUE(w.net.find_link(a, b)->is_conduit());
+  EXPECT_EQ(w.net.cross_lookahead(), Time::zero());
+}
+
+TEST(CrossLookaheadTest, RejectsBadInput) {
+  TwoPartitions w;
+  const net::NodeId a = w.host_on(0);
+  const net::NodeId b = w.host_on(1);
+  EXPECT_THROW(w.net.set_node_partition(a, 2), std::invalid_argument);
+  // A negative reverse direction is caught before either link is built.
+  EXPECT_THROW(w.net.connect(a, b, with_propagation(Time::msec(1)),
+                             with_propagation(Time::usec(-1))),
+               std::invalid_argument);
+  EXPECT_EQ(w.net.find_link(a, b), nullptr);
+  EXPECT_EQ(w.net.find_link(b, a), nullptr);
+  EXPECT_EQ(w.net.cross_lookahead(), Time::max());
 }
 
 // --- ParallelExec mechanics --------------------------------------------------
@@ -217,169 +251,35 @@ TEST(ParallelExecTest, PartitionExceptionPropagatesToCaller) {
   EXPECT_THROW(exec.run_until(Time::msec(5), 2), std::runtime_error);
 }
 
-// --- telemetry merge-at-flush ------------------------------------------------
+/// A cross-partition message earlier than the poster's clock + lookahead
+/// could land inside a window its destination already ran; post() refuses
+/// it instead of silently breaking byte-identity.
+TEST(ParallelExecTest, PostInsideLookaheadThrows) {
+  sim::Simulator s0, s1;
+  sim::ParallelExec exec;
+  exec.add_partition(s0);
+  exec.add_partition(s1);
+  exec.set_lookahead(Time::msec(1));
+  EXPECT_THROW(exec.post(0, 1, Time::usec(999), [] {}), std::logic_error);
+  EXPECT_NO_THROW(exec.post(0, 1, Time::msec(1), [] {}));
+  EXPECT_NO_THROW(exec.post(1, 1, Time::zero(), [] {}));  // same partition
 
-TEST(TelemetryMergeTest, CountersAddGaugesOverwriteHistogramsCombine) {
-  telemetry::Hub a, b;
-  auto& ma = a.metrics();
-  auto& mb = b.metrics();
-  ma.add(ma.counter("c"), 3);
-  mb.add(mb.counter("c"), 4);
-  ma.set(ma.gauge("g"), 1.0);
-  mb.set(mb.gauge("g"), 9.0);
-  const telemetry::HistogramSpec spec{0.0, 10.0, 10};
-  ma.observe(ma.histogram("h", spec), 1.0);
-  mb.observe(mb.histogram("h", spec), 2.0);
-  mb.observe(mb.histogram("h", spec), 11.0);  // overflow
-  // A name merged under a conflicting kind must be skipped, not corrupt.
-  mb.add(mb.counter("kind_clash"), 7);
-  ma.set(ma.gauge("kind_clash"), 5.0);
+  // Inside a window the poster's own clock counts; the error surfaces from
+  // run_until on the caller's thread.
+  s0.schedule_at(Time::msec(2), [&exec] {
+    exec.post(0, 1, Time::msec(2) + Time::usec(500), [] {});
+  });
+  EXPECT_THROW(exec.run_until(Time::msec(5), 2), std::logic_error);
 
-  a.merge_from(b);
-  EXPECT_EQ(ma.counter_value(ma.find("c")), 7);
-  EXPECT_DOUBLE_EQ(ma.gauge_value(ma.find("g")), 9.0);
-  const auto s = ma.summary(ma.find("h"));
-  EXPECT_EQ(s.count, 3);
-  EXPECT_EQ(s.overflow, 1);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 11.0);
-  EXPECT_DOUBLE_EQ(ma.gauge_value(ma.find("kind_clash")), 5.0);
-}
-
-TEST(TelemetryMergeTest, TracerReintersNamesAndSortsStably) {
-  telemetry::Hub a, b;
-  auto& ta = a.tracer();
-  auto& tb = b.tracer();
-  // Different intern orders on purpose: ids must translate by name.
-  const auto a_t = ta.track("alpha");
-  const auto b_u = tb.track("uniq");
-  const auto b_t = tb.track("alpha");
-  ta.instant(a_t, ta.name("x"), Time::usec(10), 1.0);
-  ta.instant(a_t, ta.name("x"), Time::usec(30), 2.0);
-  tb.instant(b_t, tb.name("x"), Time::usec(10), 3.0);
-  tb.instant(b_u, tb.name("y"), Time::usec(20), 4.0);
-
-  a.merge_from(b);
-  a.tracer().stable_sort_by_time();
-  const auto& recs = a.tracer().records();
-  ASSERT_EQ(recs.size(), 4u);
-  // ts order 10,10,20,30; the tie keeps merge order (a's record first).
-  EXPECT_EQ(recs[0].ts_us, 10);
-  EXPECT_DOUBLE_EQ(recs[0].value, 1.0);
-  EXPECT_EQ(recs[1].ts_us, 10);
-  EXPECT_DOUBLE_EQ(recs[1].value, 3.0);
-  EXPECT_EQ(a.tracer().track_name(recs[1].track), "alpha");
-  EXPECT_EQ(recs[2].ts_us, 20);
-  EXPECT_EQ(a.tracer().track_name(recs[2].track), "uniq");
-  EXPECT_EQ(recs[3].ts_us, 30);
-}
-
-// --- the acceptance gate: star world byte-identity ---------------------------
-
-net::StarWorldConfig small_world(std::uint64_t seed) {
-  net::StarWorldConfig cfg;
-  cfg.clients = 24;
-  cfg.seed = seed;
-  cfg.run_for = Time::sec(3);
-  // Undersized egress (24 clients offer ~23 Mbps at full rate): the queue
-  // bound drops packets, so loss reports and rate degrades actually happen
-  // and the identity check covers the cross-partition feedback path.
-  cfg.server_bandwidth_bps = 18e6;
-  return cfg;
-}
-
-TEST(StarWorldTest, SequentialKernelIsDeterministic) {
-  const auto a = net::run_star_world(small_world(7));
-  const auto b = net::run_star_world(small_world(7));
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.events_csv, b.events_csv);
-  EXPECT_GT(a.packets_received, 0);
-  EXPECT_GT(a.reports, 0);
-}
-
-TEST(StarWorldTest, ParallelMatchesSequentialAcrossThreadCounts) {
-  const auto seq = net::run_star_world(small_world(42));
-  for (const std::size_t partitions : {2u, 4u}) {
-    for (const int threads : {1, 2, 4}) {
-      auto cfg = small_world(42);
-      cfg.partitions = partitions;
-      const auto par = net::run_star_world(cfg, threads);
-      SCOPED_TRACE("partitions=" + std::to_string(partitions) +
-                   " threads=" + std::to_string(threads));
-      EXPECT_EQ(par.fingerprint, seq.fingerprint);
-      EXPECT_EQ(par.events_csv, seq.events_csv);
-      EXPECT_EQ(par.events_executed, seq.events_executed);
-      EXPECT_GT(par.windows, 0u);
-      EXPECT_GT(par.messages, 0u);
-      EXPECT_EQ(par.lookahead, Time::usec(1500));  // base prop, c % 8 == 0
-    }
-  }
-  // The workload must actually exercise the feedback path, or the identity
-  // proves nothing about cross-partition ordering.
-  EXPECT_GT(seq.packets_dropped, 0);
-  EXPECT_GT(seq.degrades, 0);
-}
-
-TEST(StarWorldTest, ZeroPropagationForcesDegenerateWindowStillIdentical) {
-  auto cfg = small_world(11);
-  cfg.clients = 8;
-  cfg.run_for = Time::msec(800);
-  cfg.base_propagation = Time::zero();  // some links now have zero latency
-  const auto seq = net::run_star_world(cfg);
-  cfg.partitions = 3;
-  const auto par = net::run_star_world(cfg, 3);
-  EXPECT_EQ(par.lookahead, Time::zero());
-  EXPECT_EQ(par.fingerprint, seq.fingerprint);
-  EXPECT_EQ(par.events_csv, seq.events_csv);
-}
-
-TEST(StarWorldTest, TelemetryIsPassiveAndMergesDeterministically) {
-  auto cfg = small_world(13);
-  cfg.clients = 8;
-  cfg.run_for = Time::sec(1);
-  const auto bare = net::run_star_world(cfg);
-  cfg.telemetry = true;
-  const auto traced = net::run_star_world(cfg);
-  // Recording never perturbs the simulation.
-  EXPECT_EQ(traced.fingerprint, bare.fingerprint);
-  EXPECT_FALSE(traced.metrics_csv.empty());
-  EXPECT_FALSE(traced.trace_csv.empty());
-
-  // Merged per-partition telemetry is thread-count independent.
-  cfg.partitions = 3;
-  const auto par1 = net::run_star_world(cfg, 1);
-  const auto par3 = net::run_star_world(cfg, 3);
-  EXPECT_EQ(par1.fingerprint, bare.fingerprint);
-  EXPECT_EQ(par1.metrics_csv, par3.metrics_csv);
-  EXPECT_EQ(par1.trace_csv, par3.trace_csv);
-}
-
-/// The randomized sweep: 100 seeds, each compared parallel-vs-sequential.
-/// Small worlds keep this brisk; the fingerprint covers every counter, the
-/// final rate ladder, and the canonical event log.
-TEST(StarWorldTest, HundredSeedFingerprintSweep) {
-  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
-    net::StarWorldConfig cfg;
-    cfg.clients = 6;
-    cfg.seed = seed;
-    cfg.run_for = Time::msec(900);
-    const auto seq = net::run_star_world(cfg);
-    cfg.partitions = 3;
-    const auto par = net::run_star_world(cfg, 3);
-    ASSERT_EQ(par.fingerprint, seq.fingerprint) << "seed=" << seed;
-  }
-}
-
-TEST(StarWorldTest, MorePartitionsThanClientsStillRuns) {
-  net::StarWorldConfig cfg;
-  cfg.clients = 2;
-  cfg.seed = 3;
-  cfg.run_for = Time::msec(500);
-  const auto seq = net::run_star_world(cfg);
-  cfg.partitions = 6;  // four partitions sit empty
-  const auto par = net::run_star_world(cfg, 4);
-  EXPECT_EQ(par.fingerprint, seq.fingerprint);
-  EXPECT_EQ(par.events_csv, seq.events_csv);
+  // With nothing crossing (lookahead Time::max()) the bound saturates
+  // rather than overflowing, so any cross post is still refused.
+  sim::Simulator t0, t1;
+  sim::ParallelExec unbounded;
+  unbounded.add_partition(t0);
+  unbounded.add_partition(t1);
+  unbounded.set_lookahead(Time::max());
+  unbounded.run_until(Time::msec(1), 1);
+  EXPECT_THROW(unbounded.post(0, 1, Time::sec(100), [] {}), std::logic_error);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Partitioned shared-world population: parallel-vs-sequential byte-identity
-// at every partitions x threads combination, the fleet-shared FrameCache
-// crossing partition threads, and the satellite differential check that
-// faults landing while a packet train is parked in a batched link's calendar
-// behave byte-identically to the per-packet reference path.
+// at every partitions x threads combination (plus a 100-seed sweep and more
+// partitions than clients), telemetry passivity, a partitioned Deployment
+// whose zero-latency links force degenerate executor windows, the
+// fleet-shared FrameCache crossing partition threads, and the differential
+// check that faults landing while a packet train is parked in a batched
+// link's calendar behave byte-identically to the per-packet reference path.
 
 #include <gtest/gtest.h>
 
@@ -11,11 +13,16 @@
 #include <tuple>
 #include <vector>
 
+#include "client/browser_session.hpp"
+#include "harness.hpp"
+#include "hermes/deployment.hpp"
 #include "hermes/population.hpp"
+#include "hermes/sample_content.hpp"
 #include "media/frame_cache.hpp"
 #include "net/link.hpp"
 #include "net/loss.hpp"
 #include "net/network.hpp"
+#include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 
 namespace hyms {
@@ -40,6 +47,12 @@ TEST(PopulationDeterminism, PartitionsTimesThreadsSweepIsByteIdentical) {
     const hermes::PopulationResult seq = hermes::run_population(cfg, 1);
     ASSERT_GT(seq.events_executed, 0u);
     ASSERT_NE(seq.fingerprint, 0u);
+    ASSERT_GT(seq.completed, 0);
+    ASSERT_NE(seq.qoe_json.find("hyms-slo-v1"), std::string::npos);
+    // The sequential kernel is itself deterministic run over run.
+    const hermes::PopulationResult again = hermes::run_population(cfg, 1);
+    EXPECT_EQ(again.fingerprint, seq.fingerprint) << "seed " << seed;
+    EXPECT_EQ(again.events_csv, seq.events_csv) << "seed " << seed;
 
     for (const std::uint32_t partitions : {2u, 4u}) {
       for (const int threads : {1, 2, 4}) {
@@ -54,8 +67,175 @@ TEST(PopulationDeterminism, PartitionsTimesThreadsSweepIsByteIdentical) {
             << "seed " << seed << " p" << partitions << " t" << threads;
         EXPECT_GT(par.windows, 0u);
         EXPECT_GT(par.messages, 0u);
+        // Server 1's 2 ms backbone link plus its 7 us stagger is the
+        // narrowest link crossing a partition boundary.
+        EXPECT_EQ(par.lookahead, Time::usec(2007));
       }
     }
+  }
+}
+
+/// The randomized sweep: 100 seeds of a small, short population, each
+/// compared partitioned-vs-sequential on the full exported state.
+TEST(PopulationDeterminism, HundredSeedFingerprintSweep) {
+  std::int64_t finished = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    hermes::PopulationConfig cfg;
+    cfg.sessions = 6;
+    cfg.servers = 2;
+    cfg.documents = 4;
+    cfg.seed = seed;
+    cfg.arrival_window = Time::sec(2);
+    cfg.flash_at = Time::sec(1);
+    cfg.doc_seconds = 3;
+    cfg.run_for = Time::sec(5);
+    const hermes::PopulationResult seq = hermes::run_population(cfg, 1);
+    cfg.partitions = 3;
+    const hermes::PopulationResult par = hermes::run_population(cfg, 3);
+    ASSERT_EQ(par.fingerprint, seq.fingerprint) << "seed " << seed;
+    ASSERT_EQ(par.events_csv, seq.events_csv) << "seed " << seed;
+    ASSERT_EQ(par.qoe_json, seq.qoe_json) << "seed " << seed;
+    finished += seq.completed + seq.degraded;
+  }
+  EXPECT_GT(finished, 0);  // the sweep covers whole sessions, not just setup
+}
+
+TEST(PopulationDeterminism, MorePartitionsThanClientsStillRuns) {
+  auto cfg = small_population(3);
+  cfg.sessions = 2;
+  cfg.servers = 1;
+  cfg.documents = 1;
+  const hermes::PopulationResult seq = hermes::run_population(cfg, 1);
+  cfg.partitions = 6;  // three partitions hold no node at all
+  const hermes::PopulationResult par = hermes::run_population(cfg, 4);
+  EXPECT_EQ(par.fingerprint, seq.fingerprint);
+  EXPECT_EQ(par.events_csv, seq.events_csv);
+  EXPECT_EQ(par.qoe_json, seq.qoe_json);
+}
+
+/// Telemetry is passive: it never changes what the simulation does. Only
+/// the per-session `S,` summary rows differ, because they carry QoE columns.
+TEST(PopulationTelemetry, RecordingDoesNotPerturbTheRun) {
+  auto cfg = small_population(13);
+  cfg.telemetry = false;
+  const hermes::PopulationResult bare = hermes::run_population(cfg, 1);
+  cfg.telemetry = true;
+  const hermes::PopulationResult traced = hermes::run_population(cfg, 1);
+
+  EXPECT_EQ(traced.events_executed, bare.events_executed);
+  const auto event_rows = [](const std::string& csv) {
+    return csv.substr(0, csv.find("\nS,"));
+  };
+  EXPECT_EQ(event_rows(traced.events_csv), event_rows(bare.events_csv));
+  EXPECT_NE(bare.events_csv.find("\nS,"), std::string::npos);
+  EXPECT_EQ(std::tie(traced.completed, traced.degraded, traced.churned,
+                     traced.abandoned, traced.rejected, traced.failed,
+                     traced.unfinished),
+            std::tie(bare.completed, bare.degraded, bare.churned,
+                     bare.abandoned, bare.rejected, bare.failed,
+                     bare.unfinished));
+  EXPECT_TRUE(bare.qoe_json.empty());
+  EXPECT_FALSE(traced.qoe_json.empty());
+}
+
+// --- degenerate windows: zero-latency links on a partitioned Deployment -----
+//
+// Zero backbone and access propagation makes the cross-partition lookahead
+// zero, so every executor window collapses to one timestamp. Sessions must
+// still see exactly what they see on the sequential kernel.
+
+struct ZeroLatencyOutcome {
+  Time lookahead;
+  std::size_t messages = 0;  // cross-partition mailings (0 when sequential)
+  std::vector<std::vector<std::string>> logs;
+  std::vector<client::SessionOutcome> outcomes;
+  std::int64_t sent = 0;
+  std::int64_t delivered = 0;
+  std::int64_t dropped_no_route = 0;
+  std::int64_t dropped_no_socket = 0;
+};
+
+ZeroLatencyOutcome run_zero_latency(std::uint32_t partitions, int threads) {
+  constexpr int kSessions = 4;
+  std::vector<std::unique_ptr<sim::Simulator>> sims;
+  std::vector<sim::Simulator*> sim_ptrs;
+  sim::ParallelExec exec;
+  for (std::uint32_t p = 0; p < partitions; ++p) {
+    sims.push_back(std::make_unique<sim::Simulator>(11));
+    sim_ptrs.push_back(sims.back().get());
+    exec.add_partition(*sims.back());
+  }
+  hermes::Deployment::Config dc;
+  dc.server_count = 2;
+  dc.client_count = kSessions;
+  dc.backbone.propagation = Time::zero();
+  dc.client_access.propagation = Time::zero();
+  hermes::Deployment deployment(sim_ptrs, partitions > 1 ? &exec : nullptr,
+                                dc);
+  for (int s = 0; s < dc.server_count; ++s) {
+    EXPECT_TRUE(deployment.server(s)
+                    .documents()
+                    .add("lesson", bench::lecture_markup(3))
+                    .ok());
+  }
+  net::Network& net = deployment.network();
+
+  std::vector<std::unique_ptr<client::BrowserSession>> sessions;
+  for (int i = 0; i < kSessions; ++i) {
+    const net::NodeId node = deployment.client_node(i);
+    sessions.push_back(std::make_unique<client::BrowserSession>(
+        net, node, deployment.server(i % dc.server_count).control_endpoint(),
+        client::BrowserSession::Config{}));
+    client::BrowserSession* session = sessions.back().get();
+    const std::string user = "zero-" + std::to_string(i);
+    session->set_subscription_form(hermes::student_form(user, "standard"));
+    // Staggered starts, each on the client's own partition kernel.
+    net.sim_at(node).schedule_at(Time::msec(37) * i, [session, user] {
+      session->connect(user, "secret-" + user);
+      session->queue_document("lesson");
+    });
+  }
+
+  ZeroLatencyOutcome out;
+  out.lookahead = net.cross_lookahead();
+  const Time horizon = Time::sec(6);
+  if (partitions > 1) {
+    exec.set_lookahead(out.lookahead);
+    exec.run_until(horizon, threads);
+    out.messages = exec.stats().messages;
+  } else {
+    sims[0]->run_until(horizon);
+  }
+  for (const auto& session : sessions) {
+    out.logs.push_back(session->event_log());
+    out.outcomes.push_back(session->outcome());
+  }
+  const net::Network::Stats stats = net.stats();
+  out.sent = stats.sent;
+  out.delivered = stats.delivered;
+  out.dropped_no_route = stats.dropped_no_route;
+  out.dropped_no_socket = stats.dropped_no_socket;
+  return out;
+}
+
+TEST(PartitionedDeployment, ZeroPropagationForcesDegenerateWindowsStillIdentical) {
+  const ZeroLatencyOutcome seq = run_zero_latency(1, 1);
+  EXPECT_EQ(seq.lookahead, Time::max());
+  ASSERT_EQ(seq.outcomes.size(), 4u);
+  for (const auto outcome : seq.outcomes) {
+    EXPECT_EQ(outcome, client::SessionOutcome::kCompleted);
+  }
+  for (const int threads : {1, 3}) {
+    const ZeroLatencyOutcome par = run_zero_latency(3, threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(par.lookahead, Time::zero());
+    EXPECT_GT(par.messages, 0u);
+    EXPECT_EQ(par.logs, seq.logs);
+    EXPECT_EQ(par.outcomes, seq.outcomes);
+    EXPECT_EQ(std::tie(par.sent, par.delivered, par.dropped_no_route,
+                       par.dropped_no_socket),
+              std::tie(seq.sent, seq.delivered, seq.dropped_no_route,
+                       seq.dropped_no_socket));
   }
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail CI when a guarded benchmark family regresses.
 
-Understands three JSON schemas, sniffed per file:
+Understands two JSON schemas, sniffed per file:
 
 - google-benchmark JSON from `bench_micro --json`: compares
   items_per_second for every benchmark in the guarded families present in
@@ -10,18 +10,15 @@ Understands three JSON schemas, sniffed per file:
   plus the frame-cache pair BM_FrameSynthesis / BM_FrameCacheHit and the
   client-side frame check BM_FrameVerify.
 
-- bench_shared_world JSON (context.benchmark == "bench_shared_world"):
+- bench_population JSON (context.benchmark == "bench_population"):
   compares events_per_sec for every (partitions, threads) cell present in
-  both files, under synthetic names like "shared_world/p4t2".
+  both files, under names like "population/p2t4". Rows carrying a
+  "scenario" field (the --overload sweep) get per-scenario names like
+  "population/overload/p2t4" and "population/chaos/p2t4"; the "base"
+  scenario keeps the legacy "population/p2t4" name so old baselines stay
+  comparable.
 
-- bench_population JSON (context.benchmark == "bench_population"): same
-  per-(partitions, threads) cell comparison of events_per_sec, under names
-  like "population/p2t4". Rows carrying a "scenario" field (the --overload
-  sweep) get per-scenario names like "population/overload/p2t4" and
-  "population/chaos/p2t4"; the "base" scenario keeps the legacy
-  "population/p2t4" name so old baselines stay comparable.
-
-For both cell schemas the FRESH file's "deterministic" flag must be true —
+For the cell schema the FRESH file's "deterministic" flag must be true —
 a divergent parallel simulation is a correctness failure regardless of
 speed, and fails hard even when the speed numbers are incomparable.
 
@@ -37,8 +34,6 @@ non-deterministic fresh parallel run).
 Usage:
   tools/check_bench_regression.py BENCH_micro.json --baseline OLD.json
       [--budget 10.0]
-  tools/check_bench_regression.py BENCH_shared_world.json \
-      --baseline OLD_shared_world.json [--budget 15.0]
   tools/check_bench_regression.py BENCH_population.json \
       --baseline OLD_population.json [--budget 15.0]
 """
@@ -52,7 +47,6 @@ FAMILY_PREFIXES = ("BM_PacketForwarding", "BM_FrameSynthesis",
 
 # context.benchmark -> synthetic cell-name prefix
 CELL_SCHEMAS = {
-    "bench_shared_world": "shared_world",
     "bench_population": "population",
 }
 

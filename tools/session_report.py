@@ -4,7 +4,7 @@
 Inputs (either or both):
 
 - An SLO JSON file ("hyms-slo-v1", from --slo-json on bench_chaos /
-  bench_multisession / bench_shared_world or QoeCollector::to_json):
+  bench_multisession / bench_population or QoeCollector::to_json):
   prints the fleet SLO table (percentiles per metric, outcome counts,
   compliance, error-budget burn) and then per-session QoE reports —
   slowest/worst exemplars first — including each abnormal session's
