@@ -33,29 +33,6 @@ struct Totals {
   long long crashes = 0;
 };
 
-client::BrowserSession::Config session_config(bool harsh) {
-  client::BrowserSession::Config c;
-  c.tcp.max_syn_retries = 4;
-  c.tcp.max_rto = Time::sec(4);
-  c.tcp.max_retransmits = 8;
-  c.presentation.tcp = c.tcp;
-  c.recovery.enabled = true;
-  c.recovery.request_timeout = Time::sec(2);
-  c.recovery.liveness_timeout = Time::sec(2);
-  c.recovery.liveness_poll = Time::msec(500);
-  c.recovery.backoff_initial = Time::msec(300);
-  c.recovery.backoff_cap = Time::sec(2);
-  c.recovery.max_attempts = 10;
-  if (harsh) {
-    // The abnormal-session regime: a tight recovery budget against a
-    // denser, longer fault plan, so some sessions exhaust their attempts
-    // and end degraded/aborted — the flight recorder's dump path.
-    c.recovery.max_attempts = 2;
-    c.recovery.backoff_cap = Time::sec(1);
-  }
-  return c;
-}
-
 void run_one(std::uint64_t seed, Totals& totals, int index, bool harsh,
              const char* trace_file = nullptr,
              const char* metrics_file = nullptr,
@@ -68,17 +45,13 @@ void run_one(std::uint64_t seed, Totals& totals, int index, bool harsh,
     hub.set_tracing(trace_file != nullptr);
     sim.set_telemetry(&hub);  // before the deployment interns its tracks
   }
-  hermes::Deployment::Config dc;
-  dc.server_template.dead_peer_timeout = Time::sec(6);
-  dc.server_template.tcp.max_syn_retries = 4;
-  dc.server_template.tcp.max_rto = Time::sec(4);
-  dc.server_template.tcp.max_retransmits = 8;
-  hermes::Deployment deployment(sim, dc);
+  hermes::Deployment deployment(sim, bench::chaos_deployment_config());
   deployment.server(0).documents().add("lesson", bench::lecture_markup(8));
 
   client::BrowserSession session(
       deployment.network(), deployment.client_node(0),
-      deployment.server(0).control_endpoint(), session_config(harsh));
+      deployment.server(0).control_endpoint(),
+      bench::chaos_session_config(harsh));
   session.set_subscription_form(hermes::student_form("chaos", "standard"));
   session.connect("chaos", "secret-chaos");
   session.queue_document("lesson");
@@ -89,19 +62,8 @@ void run_one(std::uint64_t seed, Totals& totals, int index, bool harsh,
       "hermes-1", [&server] { server.crash(); },
       [&server] { server.restart(); });
 
-  net::ChaosProfile profile;
-  profile.horizon = Time::sec(15);
-  profile.start = Time::sec(2);
-  profile.max_faults = 3;
-  profile.max_outage = Time::sec(4);
-  if (harsh) {
-    profile.max_faults = 6;
-    profile.max_outage = Time::sec(10);
-    profile.w_server_crash = 3.0;
-    profile.w_partition = 3.0;
-  }
   injector.arm(net::make_random_plan(
-      seed, profile,
+      seed, bench::chaos_profile(harsh),
       {{deployment.router(), deployment.client_node(0)},
        {deployment.router(), deployment.server_node(0)}},
       {deployment.client_node(0)}, 1));
@@ -163,7 +125,7 @@ int main(int argc, char** argv) {
   int sessions = 200;
   std::uint64_t base_seed = 10'000;
   bool json = false;
-  bool harsh = false;  // abnormal-session regime (see session_config)
+  bool harsh = false;  // abnormal-session regime (bench::chaos_*)
   const char* trace_file = nullptr;    // Perfetto trace of the FIRST session
   const char* metrics_file = nullptr;  // metrics CSV of the FIRST session
   const char* slo_file = nullptr;      // fleet QoE/SLO JSON across all seeds

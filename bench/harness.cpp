@@ -34,6 +34,53 @@ std::string lecture_markup(int seconds, int video_kbps,
   return lesson.markup_text();
 }
 
+client::BrowserSession::Config chaos_session_config(bool harsh) {
+  client::BrowserSession::Config c;
+  c.tcp.max_syn_retries = 4;
+  c.tcp.max_rto = Time::sec(4);
+  c.tcp.max_retransmits = 8;
+  c.presentation.tcp = c.tcp;
+  c.recovery.enabled = true;
+  c.recovery.request_timeout = Time::sec(2);
+  c.recovery.liveness_timeout = Time::sec(2);
+  c.recovery.liveness_poll = Time::msec(500);
+  c.recovery.backoff_initial = Time::msec(300);
+  c.recovery.backoff_cap = Time::sec(2);
+  c.recovery.max_attempts = 10;
+  if (harsh) {
+    // The abnormal-session regime: a tight recovery budget against a
+    // denser, longer fault plan, so some sessions exhaust their attempts
+    // and end degraded/aborted — the flight recorder's dump path.
+    c.recovery.max_attempts = 2;
+    c.recovery.backoff_cap = Time::sec(1);
+  }
+  return c;
+}
+
+hermes::Deployment::Config chaos_deployment_config() {
+  hermes::Deployment::Config dc;
+  dc.server_template.dead_peer_timeout = Time::sec(6);
+  dc.server_template.tcp.max_syn_retries = 4;
+  dc.server_template.tcp.max_rto = Time::sec(4);
+  dc.server_template.tcp.max_retransmits = 8;
+  return dc;
+}
+
+net::ChaosProfile chaos_profile(bool harsh) {
+  net::ChaosProfile profile;
+  profile.horizon = Time::sec(15);
+  profile.start = Time::sec(2);
+  profile.max_faults = 3;
+  profile.max_outage = Time::sec(4);
+  if (harsh) {
+    profile.max_faults = 6;
+    profile.max_outage = Time::sec(10);
+    profile.w_server_crash = 3.0;
+    profile.w_partition = 3.0;
+  }
+  return profile;
+}
+
 SessionMetrics run_session(const SessionParams& params) {
   SessionMetrics metrics;
   sim::Simulator sim(params.seed);

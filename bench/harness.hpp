@@ -12,8 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "client/browser_session.hpp"
 #include "core/trace.hpp"
+#include "hermes/deployment.hpp"
 #include "media/frame_cache.hpp"
+#include "net/fault.hpp"
 #include "net/loss.hpp"
 #include "server/qos_manager.hpp"
 #include "telemetry/qoe.hpp"
@@ -157,6 +160,19 @@ void warn_if_debug_build(const char* bench_name);
 /// documents carry distinct media content (their frame-cache keys differ).
 std::string lecture_markup(int seconds, int video_kbps = 1200,
                            const std::string& doc_tag = "");
+
+// --- chaos runs (bench_chaos, tests/test_chaos.cpp) --------------------------
+
+/// Client of a chaos run: TCP budgets that surface an outage within seconds
+/// and outage recovery on. `harsh` is the abnormal-session regime: a tight
+/// recovery budget, so some sessions exhaust it.
+client::BrowserSession::Config chaos_session_config(bool harsh);
+/// Deployment of a chaos run: server TCP budgets matching the client's and
+/// a 6 s dead-peer timeout.
+hermes::Deployment::Config chaos_deployment_config();
+/// Fault-plan shape of a chaos run; `harsh` is denser and longer, weighted
+/// toward server crashes and partitions.
+net::ChaosProfile chaos_profile(bool harsh);
 
 // --- table output ------------------------------------------------------------
 

@@ -8,6 +8,20 @@
 
 namespace hyms::client {
 
+namespace {
+
+/// Backoff jitter: +-fraction of the capped exponential delay.
+constexpr double kBackoffJitter = 0.3;
+/// How many quality-floor notches admission retries may concede.
+constexpr int kMaxFloorDegradations = 3;
+/// Rejections tolerated before the session gives up (typed kAborted fate).
+constexpr int kMaxAdmissionRetries = 6;
+/// Concede one quality-floor notch every N rejections (bounded by
+/// kMaxFloorDegradations).
+constexpr int kConcedeEvery = 2;
+
+}  // namespace
+
 std::string to_string(ClientState state) {
   switch (state) {
     case ClientState::kDisconnected: return "disconnected";
@@ -253,12 +267,8 @@ Time BrowserSession::backoff_for(const RecoveryConfig& rc, int attempt,
   for (int i = 0; i < exponent; ++i) us *= 2.0;
   us = std::min(us, static_cast<double>(rc.backoff_cap.us()));
   // Jitter decorrelates reconnect storms across clients hit by one outage.
-  us *= 1.0 + rc.backoff_jitter * (2.0 * rng.uniform() - 1.0);
+  us *= 1.0 + kBackoffJitter * (2.0 * rng.uniform() - 1.0);
   return std::max(Time::msec(1), Time::usec(static_cast<std::int64_t>(us)));
-}
-
-Time BrowserSession::backoff_delay() {
-  return backoff_for(config_.recovery, recovery_attempts_, jitter_rng_);
 }
 
 void BrowserSession::begin_recovery(const std::string& why) {
@@ -289,7 +299,8 @@ void BrowserSession::schedule_reconnect(const std::string& why) {
     return;
   }
   ++recovery_attempts_;
-  const Time delay = backoff_delay();
+  const Time delay =
+      backoff_for(config_.recovery, recovery_attempts_, jitter_rng_);
   if (state_ != ClientState::kRecovering) transition(ClientState::kRecovering);
   log_event("recovery: attempt " + std::to_string(recovery_attempts_) + "/" +
             std::to_string(config_.recovery.max_attempts) + " in " +
@@ -341,7 +352,7 @@ void BrowserSession::settle_queue_wait() {
 void BrowserSession::handle_admission_rejection(const proto::DocumentReply& m) {
   const auto& rc = config_.recovery;
   if (admission_wait_began_ == Time::max()) admission_wait_began_ = sim_.now();
-  if (admission_retries_ >= rc.max_admission_retries) {
+  if (admission_retries_ >= kMaxAdmissionRetries) {
     give_up_admission("retry budget exhausted: " + m.reason);
     return;
   }
@@ -350,8 +361,8 @@ void BrowserSession::handle_admission_rejection(const proto::DocumentReply& m) {
     return;
   }
   ++admission_retries_;
-  if (rc.concede_every > 0 && admission_retries_ % rc.concede_every == 0 &&
-      floor_degradations_ < rc.max_floor_degradations) {
+  if (admission_retries_ % kConcedeEvery == 0 &&
+      floor_degradations_ < kMaxFloorDegradations) {
     ++floor_degradations_;
     log_event("overload: conceding quality floor notch " +
               std::to_string(floor_degradations_));
@@ -362,7 +373,7 @@ void BrowserSession::handle_admission_rejection(const proto::DocumentReply& m) {
   if (m.retry_after_us > 0) delay = std::max(delay, Time::usec(m.retry_after_us));
   log_event("overload: admission rejected, retry " +
             std::to_string(admission_retries_) + "/" +
-            std::to_string(rc.max_admission_retries) + " in " + delay.str());
+            std::to_string(kMaxAdmissionRetries) + " in " + delay.str());
   if (on_admission_retry_) on_admission_retry_(admission_retries_);
   const std::string doc = pending_document_;
   sim_.cancel(reconnect_timer_);
@@ -459,8 +470,8 @@ void BrowserSession::request_document(const std::string& name) {
   transition(ClientState::kRequestingDocument);
   proto::DocumentRequest request{name};
   if (floor_degradations_ > 0) {
-    // Admission already refused us at the granted floors (outage recovery or
-    // overload retries): concede quality notches (the server only ever
+    // Admission already refused us at the granted floors (overload retries,
+    // in or out of recovery): concede quality notches (the server only ever
     // degrades — max(subscribed, override)).
     request.video_floor_override = static_cast<std::int8_t>(floor_degradations_);
     request.audio_floor_override = static_cast<std::int8_t>(floor_degradations_);
@@ -656,30 +667,8 @@ void BrowserSession::handle(const proto::DocumentReply& m) {
   }
   if (!m.ok) {
     transition(ClientState::kBrowsing);
-    if (recovering_ && m.retryable_admission) {
-      // The re-established session lost its old reservation's place in line.
-      // Concede a quality notch (bounded) and retry after backoff.
-      if (floor_degradations_ < config_.recovery.max_floor_degradations) {
-        ++floor_degradations_;
-        log_event("recovery: conceding quality floor notch " +
-                  std::to_string(floor_degradations_));
-      }
-      if (recovery_attempts_ >= config_.recovery.max_attempts) {
-        abort_recovery("re-admission kept refusing: " + m.reason);
-        return;
-      }
-      ++recovery_attempts_;
-      const Time delay = backoff_delay();
-      log_event("recovery: re-admission refused, retrying in " + delay.str());
-      reconnect_timer_ = sim_.schedule_after(delay, [this] {
-        reconnect_timer_ = sim::kNoEvent;
-        if (state_ == ClientState::kBrowsing && !current_document_.empty()) {
-          request_document(current_document_);
-        }
-      });
-      return;
-    }
-    if (m.retryable_admission && config_.recovery.retry_admission) {
+    if (m.retryable_admission &&
+        config_.recovery.admission_patience > Time::zero()) {
       handle_admission_rejection(m);
       return;
     }

@@ -38,7 +38,7 @@ enum class SessionOutcome : std::uint8_t {
   kPending = 0,  // still in flight (or never viewed a document)
   kCompleted,    // presentation finished at the originally granted quality
   kDegraded,     // finished, but re-admission forced lower quality floors
-  kAborted,      // recovery budget exhausted; the session gave up
+  kAborted,      // recovery or admission retry budget exhausted; gave up
 };
 
 [[nodiscard]] std::string to_string(SessionOutcome outcome);
@@ -54,31 +54,25 @@ struct RecoveryConfig {
   /// long (with the presentation unfinished) presumes the flows dead.
   Time liveness_timeout = Time::sec(4);
   Time liveness_poll = Time::sec(1);
-  /// Reconnect backoff: initial * 2^(attempt-1), capped, +-jitter fraction.
+  /// Backoff: reconnect attempt k (1-based) waits initial * 2^k and
+  /// admission retry k waits initial * 2^(k-1); both are capped at
+  /// backoff_cap, then jittered by +-30%.
   Time backoff_initial = Time::msec(400);
   Time backoff_cap = Time::sec(5);
-  double backoff_jitter = 0.3;
   /// Consecutive failed recoveries before the session aborts. A successful
   /// re-establishment refills the budget.
   int max_attempts = 8;
-  /// How many quality-floor notches re-admission may cost before giving up.
-  int max_floor_degradations = 3;
 
   // --- overload retry (admission rejection) ---------------------------------
   // Active even when `enabled` is false: retrying a rejected admission needs
   // no outage machinery, only client-local timers, so a population session
   // without crash recovery can still ride out a flash crowd.
-  /// Retry a retryable admission rejection with capped exponential backoff
-  /// (honoring the server's retry_after hint when it is larger).
-  bool retry_admission = false;
-  /// Rejections tolerated before the session gives up (typed kAborted fate).
-  int max_admission_retries = 6;
-  /// Concede one quality-floor notch every N rejections (bounded by
-  /// max_floor_degradations); 0 never concedes.
-  int concede_every = 2;
   /// Sim-time budget from the first rejection before giving up regardless
-  /// of the retry count — the user's patience.
-  Time admission_patience = Time::sec(10);
+  /// of the retry count — the user's patience. Greater than zero retries
+  /// retryable rejections with capped exponential backoff (honoring the
+  /// server's retry_after hint when it is larger), in or out of outage
+  /// recovery; zero ends the session at the first one (typed kAborted).
+  Time admission_patience = Time::zero();
 };
 
 /// The browser's session with ONE multimedia server: drives the §5
@@ -221,8 +215,8 @@ class BrowserSession {
   }
 
   /// Capped exponential backoff with jitter, pure in (config, attempt, rng):
-  /// initial * 2^min(attempt,16), capped, +-jitter fraction drawn from
-  /// `rng`. Exposed for the determinism unit tests.
+  /// initial * 2^min(attempt,16), capped, +-30% jitter drawn from `rng`.
+  /// Exposed for the determinism unit tests.
   [[nodiscard]] static Time backoff_for(const RecoveryConfig& rc, int attempt,
                                         util::Rng& rng);
 
@@ -249,11 +243,10 @@ class BrowserSession {
   void reconnect();
   void abort_recovery(const std::string& why);
   void finish_presentation();
-  [[nodiscard]] Time backoff_delay();
   void cancel_recovery_timers();
 
   // --- overload retry ----------------------------------------------------------
-  /// Handle a retryable admission rejection outside of outage recovery:
+  /// Handle a retryable admission rejection, in or out of outage recovery:
   /// backoff (honoring the server hint), bounded quality concessions, and a
   /// patience budget; gives the session a typed kAborted fate on exhaustion.
   void handle_admission_rejection(const proto::DocumentReply& m);

@@ -373,7 +373,6 @@ PopulationResult run_population(const PopulationConfig& cfg, int threads) {
         // Ride out the flash crowd: retry retryable rejections with capped
         // backoff, concede quality every other retry, and give up (typed
         // kAborted fate) once the plan's own jittered patience runs out.
-        bc.recovery.retry_admission = true;
         bc.recovery.admission_patience = plan.patience;
       }
       // Crashed sessions must reconnect for chaos runs to measure anything

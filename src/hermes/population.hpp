@@ -64,7 +64,8 @@ struct PopulationConfig {
   /// Overload control: servers get an admission wait queue + degradation
   /// ladder (unless the server_template already configured them) and every
   /// session retries retryable admission rejections with capped exponential
-  /// backoff, bounded quality concessions, and a patience budget. Sessions
+  /// backoff, bounded quality concessions, and a patience budget (its
+  /// `recovery.admission_patience` is the plan's jittered patience). Sessions
   /// parked in a server wait queue at their impatience bound keep waiting
   /// (the server's queue deadline bounds the stay); sessions mid-retry get
   /// a few patience extensions before walking — the user can see the
@@ -73,8 +74,10 @@ struct PopulationConfig {
   /// Chaos: arm a deterministic FaultPlan against the population — server 0
   /// crashes 800 ms into the flash crowd (with its wait queue populated) and
   /// restarts 1.5 s later; the backbone link to server 1 flaps 3 s in. Also
-  /// enables client outage recovery so crashed sessions reconnect. Runs on
-  /// the partitioned executor too — the byte-identity gate applies as ever.
+  /// enables client outage recovery so crashed sessions reconnect; a refused
+  /// re-admission then meets the same retry policy as any other rejection.
+  /// Runs on the partitioned executor too — the byte-identity gate applies
+  /// as ever.
   bool chaos = false;
   /// Frame cache shared by EVERY server in the fleet regardless of which
   /// partition it lives on (null = create one of frame_cache_bytes).

@@ -89,8 +89,8 @@ struct TopicListReply {
 struct DocumentRequest {
   std::string document;
   /// Quality-floor overrides for admission (-1 = use the subscription
-  /// floors). A recovering client degrades these per the paper's long-term
-  /// recovery when re-admission at the original floors is refused.
+  /// floors). A retrying client degrades these per the paper's long-term
+  /// recovery when admission at the original floors keeps being refused.
   std::int8_t video_floor_override = -1;
   std::int8_t audio_floor_override = -1;
 };

@@ -5,6 +5,19 @@
 
 namespace hyms::server {
 
+namespace {
+
+/// Base of the retry-after hint handed to rejected clients; scaled by the
+/// queue depth so a deeper backlog pushes retries further out.
+constexpr Time kRetryAfterBase = Time::msec(400);
+/// Ceiling on the retry-after hint. Without one, a full queue of N waiters
+/// quotes base*(1+N) — tens of seconds at realistic depths, which overshoots
+/// any client patience budget and turns "come back later" into "never come
+/// back".
+constexpr Time kRetryAfterCap = Time::sec(3);
+
+}  // namespace
+
 AdmissionControl::AdmissionControl(Config config, sim::Simulator* sim)
     : config_(config), sim_(sim) {
   if (sim_ != nullptr) {
@@ -228,9 +241,9 @@ void AdmissionControl::fail_waiters(const util::Error& error) {
 }
 
 std::int64_t AdmissionControl::retry_after_us() const {
-  return std::min(config_.retry_after_base.us() *
+  return std::min(kRetryAfterBase.us() *
                       static_cast<std::int64_t>(1 + waiters_.size()),
-                  config_.retry_after_cap.us());
+                  kRetryAfterCap.us());
 }
 
 void AdmissionControl::note_decision(telemetry::NameId which,

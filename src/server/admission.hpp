@@ -32,14 +32,6 @@ class AdmissionControl {
     std::size_t queue_limit = 0;
     /// How long a queued request may wait before it is rejected.
     Time queue_deadline = Time::sec(4);
-    /// Base of the retry-after hint handed to rejected clients; scaled by
-    /// the queue depth so a deeper backlog pushes retries further out.
-    Time retry_after_base = Time::msec(400);
-    /// Ceiling on the retry-after hint. Without one, a full queue of N
-    /// waiters quotes base*(1+N) — tens of seconds at realistic depths,
-    /// which overshoots any client patience budget and turns "come back
-    /// later" into "never come back".
-    Time retry_after_cap = Time::sec(3);
     /// Degradation-ladder depth offered by the server before queueing or
     /// rejecting: how many quality-floor notches the caller should append
     /// as ladder rungs below the full request. 0 disables the ladder.

@@ -648,7 +648,6 @@ class MultimediaServer::ClientSession {
   /// release its admission reservation so re-admission of the recovered
   /// session isn't double-counted against capacity.
   void arm_peer_monitor() {
-    if (!server_.config_.detect_dead_peers) return;
     sim_.cancel(liveness_event_);
     liveness_event_ =
         sim_.schedule_after(server_.config_.dead_peer_timeout / 2, [this] {

@@ -63,7 +63,6 @@ class MultimediaServer {
     /// silent (no control frames, no RTCP feedback) this long while flows
     /// are still active is torn down, releasing its admission reservation —
     /// the server-side mirror of the client's liveness detection.
-    bool detect_dead_peers = true;
     Time dead_peer_timeout = Time::sec(10);
     AdmissionControl::Config admission;
     ServerQosManager::Config qos;

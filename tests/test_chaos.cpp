@@ -226,7 +226,8 @@ TEST(FaultInjectorTest, AppliesScriptedPlan) {
 
 class CrashFixture : public ::testing::Test {
  protected:
-  CrashFixture() : sim_(1234), deployment_(sim_, config()) {
+  explicit CrashFixture(const hermes::Deployment::Config& c = config())
+      : sim_(1234), deployment_(sim_, c) {
     deployment_.server(0).documents().add("lesson", bench::lecture_markup(8));
   }
 
@@ -319,26 +320,17 @@ TEST_F(CrashFixture, SuspendThenDisconnectCancelsKeepaliveTimer) {
 
 // --- End-to-end recovery ----------------------------------------------------------
 
-BrowserSession::Config recovery_config() {
-  BrowserSession::Config c;
-  c.tcp.max_syn_retries = 4;
-  c.tcp.max_rto = Time::sec(4);
-  c.tcp.max_retransmits = 8;
-  c.presentation.tcp = c.tcp;
-  c.recovery.enabled = true;
-  c.recovery.request_timeout = Time::sec(2);
-  c.recovery.liveness_timeout = Time::sec(2);
-  c.recovery.liveness_poll = Time::msec(500);
-  c.recovery.backoff_initial = Time::msec(300);
-  c.recovery.backoff_cap = Time::sec(2);
-  c.recovery.max_attempts = 10;
-  return c;
+bool logged(const BrowserSession& s, const std::string& what) {
+  for (const auto& event : s.event_log()) {
+    if (event.find(what) != std::string::npos) return true;
+  }
+  return false;
 }
 
 /// Differential recovery: a session hit by a mid-stream link flap must detect
 /// the outage, re-establish, resume at the last playout position, and finish.
 TEST_F(CrashFixture, MidStreamLinkFlapResumesAtLastPosition) {
-  auto s = session(recovery_config());
+  auto s = session(bench::chaos_session_config(false));
   s->connect("carol", "secret-carol");
   s->queue_document("lesson");
 
@@ -370,19 +362,13 @@ TEST_F(CrashFixture, MidStreamLinkFlapResumesAtLastPosition) {
   ASSERT_NE(s->presentation(), nullptr);
   EXPECT_TRUE(s->presentation()->scheduler().finished());
 
-  bool resumed_logged = false;
-  for (const auto& event : s->event_log()) {
-    if (event.find("recovery: resumed lesson") != std::string::npos) {
-      resumed_logged = true;
-    }
-  }
-  EXPECT_TRUE(resumed_logged);
+  EXPECT_TRUE(logged(*s, "recovery: resumed lesson"));
 }
 
 /// Server crash mid-stream: the client's liveness detection notices the dead
 /// flows, reconnects once the server restarts, re-runs admission, resumes.
 TEST_F(CrashFixture, ServerCrashRestartRecovers) {
-  auto s = session(recovery_config());
+  auto s = session(bench::chaos_session_config(false));
   s->connect("carol", "secret-carol");
   s->queue_document("lesson");
 
@@ -408,6 +394,72 @@ TEST_F(CrashFixture, ServerCrashRestartRecovers) {
   EXPECT_EQ(s->outcome(), SessionOutcome::kCompleted)
       << to_string(s->outcome()) << ": " << s->last_error();
   EXPECT_GE(s->resume_position(), Time::sec(1));
+}
+
+// --- Re-admission refused after an outage -----------------------------------------
+
+/// One 0.53 Mbps lecture reservation fits under the 0.85 Mbps standard-tier
+/// ceiling of a 1 Mbps server; two do not.
+class ReadmissionFixture : public CrashFixture {
+ protected:
+  ReadmissionFixture() : CrashFixture(one_lecture_server()) {}
+
+  static hermes::Deployment::Config one_lecture_server() {
+    hermes::Deployment::Config c;
+    c.server_template.admission.capacity_bps = 1e6;
+    return c;
+  }
+
+  /// The outage hits before the first DocumentReply: the request reaches the
+  /// server, which grants it, but the reply is lost on the downed downlink.
+  /// The client times out and reconnects with `current_document()` still
+  /// empty, and the server's old connection keeps the first grant's
+  /// reservation, so re-admission is refused.
+  std::unique_ptr<BrowserSession> run_outage_before_first_reply(
+      Time patience) {
+    auto c = bench::chaos_session_config(false);
+    c.recovery.admission_patience = patience;
+    auto s = session(c);
+    s->connect("carol", "secret-carol");
+    sim_.run_until(Time::sec(1));
+    EXPECT_EQ(s->state(), ClientState::kBrowsing) << s->last_error();
+
+    net::Link* downlink = deployment_.client_downlink(0);
+    downlink->set_up(false);
+    s->request_document("lesson");
+    sim_.run_until(Time::sec(5));
+    downlink->set_up(true);
+    sim_.run_until(Time::sec(90));
+    return s;
+  }
+};
+
+/// A refused re-admission goes through the one admission-retry policy: it
+/// retries the interrupted request (`current_document()` is still empty
+/// here, so a retry of it would fire into nothing and leave the session
+/// kPending in kBrowsing) and ends typed when its budget runs out.
+TEST_F(ReadmissionFixture, RefusedReadmissionRetriesThenEndsTyped) {
+  const auto s = run_outage_before_first_reply(Time::sec(60));
+  EXPECT_TRUE(logged(*s, "recovery: re-requesting lesson"));
+  EXPECT_EQ(s->outcome(), SessionOutcome::kAborted)
+      << to_string(s->outcome()) << " in " << to_string(s->state());
+  EXPECT_EQ(s->admission_retries(), 6);
+  EXPECT_TRUE(logged(*s, "overload: giving up on admission"));
+  ASSERT_FALSE(s->last_status().ok());
+  EXPECT_EQ(s->last_status().error().code,
+            util::Error::Code::kAdmissionRejected);
+}
+
+/// Without admission patience the first refused re-admission is terminal.
+TEST_F(ReadmissionFixture, RefusedReadmissionWithoutPatienceEndsAtOnce) {
+  const auto s = run_outage_before_first_reply(Time::zero());
+  EXPECT_TRUE(logged(*s, "recovery: re-requesting lesson"));
+  EXPECT_EQ(s->outcome(), SessionOutcome::kAborted)
+      << to_string(s->outcome()) << " in " << to_string(s->state());
+  EXPECT_EQ(s->admission_retries(), 0);
+  ASSERT_FALSE(s->last_status().ok());
+  EXPECT_EQ(s->last_status().error().code,
+            util::Error::Code::kAdmissionRejected);
 }
 
 // --- Randomized chaos sweep -------------------------------------------------------
@@ -438,17 +490,12 @@ std::uint64_t fnv64(std::uint64_t h, std::int64_t v) {
 
 ChaosRun run_chaos_session(std::uint64_t seed) {
   sim::Simulator sim(seed);
-  hermes::Deployment::Config dc;
-  dc.server_template.dead_peer_timeout = Time::sec(6);
-  dc.server_template.tcp.max_syn_retries = 4;
-  dc.server_template.tcp.max_rto = Time::sec(4);
-  dc.server_template.tcp.max_retransmits = 8;
-  hermes::Deployment deployment(sim, dc);
+  hermes::Deployment deployment(sim, bench::chaos_deployment_config());
   deployment.server(0).documents().add("lesson", bench::lecture_markup(8));
 
   BrowserSession session(deployment.network(), deployment.client_node(0),
                          deployment.server(0).control_endpoint(),
-                         recovery_config());
+                         bench::chaos_session_config(false));
   session.set_subscription_form(hermes::student_form("chaos", "standard"));
   session.connect("chaos", "secret-chaos");
   session.queue_document("lesson");
@@ -459,13 +506,8 @@ ChaosRun run_chaos_session(std::uint64_t seed) {
       "hermes-1", [&server] { server.crash(); },
       [&server] { server.restart(); });
 
-  net::ChaosProfile profile;
-  profile.horizon = Time::sec(15);
-  profile.start = Time::sec(2);
-  profile.max_faults = 3;
-  profile.max_outage = Time::sec(4);
   const auto plan = net::make_random_plan(
-      seed, profile,
+      seed, bench::chaos_profile(false),
       {{deployment.router(), deployment.client_node(0)},
        {deployment.router(), deployment.server_node(0)}},
       {deployment.client_node(0)}, 1);

@@ -203,13 +203,11 @@ TEST(AdmissionLadder, PopulatedQueueForcesPressureAtLowUtilization) {
   EXPECT_EQ(d.degraded_notches, 2);
 }
 
-TEST(AdmissionQueue, RetryAfterHintIsCappedByConfig) {
+TEST(AdmissionQueue, RetryAfterHintIsCapped) {
   sim::Simulator sim(1);
   AdmissionControl::Config cfg;
   cfg.capacity_bps = 1e6;
   cfg.queue_limit = 64;
-  cfg.retry_after_base = Time::msec(400);
-  cfg.retry_after_cap = Time::sec(3);
   AdmissionControl adm(cfg, &sim);
   ASSERT_TRUE(adm.evaluate_and_reserve("tenant", 1e6, 1.0).admitted);
 
@@ -269,33 +267,34 @@ TEST(AdmissionCrash, FailWaitersIsTypedAndLeaksNoDeadlineTimers) {
   EXPECT_EQ(adm.queue_depth(), 0u);
 }
 
-TEST(RetryBackoff, ExactWithoutJitterAndBoundedWithJitter) {
+TEST(RetryBackoff, ExactWithReplayedJitterAndBounded) {
   client::RecoveryConfig rc;
   rc.backoff_initial = Time::msec(400);
   rc.backoff_cap = Time::sec(5);
-  rc.backoff_jitter = 0.0;
   util::Rng rng(7);
   using client::BrowserSession;
-  EXPECT_EQ(BrowserSession::backoff_for(rc, 0, rng), Time::msec(400));
-  EXPECT_EQ(BrowserSession::backoff_for(rc, 1, rng), Time::msec(800));
-  EXPECT_EQ(BrowserSession::backoff_for(rc, 2, rng), Time::msec(1600));
-  EXPECT_EQ(BrowserSession::backoff_for(rc, 3, rng), Time::msec(3200));
-  EXPECT_EQ(BrowserSession::backoff_for(rc, 4, rng), Time::sec(5));  // capped
-  EXPECT_EQ(BrowserSession::backoff_for(rc, 40, rng), Time::sec(5));
-
-  rc.backoff_jitter = 0.3;
   for (int attempt = 0; attempt < 8; ++attempt) {
-    util::Rng a(42);
-    util::Rng b(42);
-    const Time da = BrowserSession::backoff_for(rc, attempt, a);
-    const Time db = BrowserSession::backoff_for(rc, attempt, b);
-    EXPECT_EQ(da, db) << "same RNG state must give the same jitter";
+    // The jitter is one uniform draw: replay it from a copy of the RNG.
+    util::Rng replay = rng;
+    const Time d = BrowserSession::backoff_for(rc, attempt, rng);
     double base_us = static_cast<double>(Time::msec(400).us());
     for (int i = 0; i < attempt; ++i) base_us *= 2.0;
     base_us = std::min(base_us, static_cast<double>(Time::sec(5).us()));
-    EXPECT_GE(static_cast<double>(da.us()), 0.7 * base_us - 1.0);
-    EXPECT_LE(static_cast<double>(da.us()), 1.3 * base_us + 1.0);
+    const double jittered_us =
+        base_us * (1.0 + 0.3 * (2.0 * replay.uniform() - 1.0));
+    EXPECT_EQ(d, Time::usec(static_cast<std::int64_t>(jittered_us)))
+        << "attempt " << attempt;
+    EXPECT_EQ(replay.next_u64(), rng.next_u64())
+        << "backoff_for must draw exactly one uniform";
+    EXPECT_GE(static_cast<double>(d.us()), 0.7 * base_us - 1.0);
+    EXPECT_LE(static_cast<double>(d.us()), 1.3 * base_us + 1.0);
   }
+
+  util::Rng a(42);
+  util::Rng b(42);
+  EXPECT_EQ(BrowserSession::backoff_for(rc, 40, a),
+            BrowserSession::backoff_for(rc, 40, b))
+      << "same RNG state must give the same jitter";
 }
 
 // --- population-level gates --------------------------------------------------
