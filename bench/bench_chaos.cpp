@@ -8,8 +8,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 
 #include "client/browser_session.hpp"
 #include "harness.hpp"
@@ -34,17 +33,11 @@ struct Totals {
 };
 
 void run_one(std::uint64_t seed, Totals& totals, int index, bool harsh,
-             const char* trace_file = nullptr,
-             const char* metrics_file = nullptr,
-             telemetry::QoeCollector* fleet = nullptr) {
+             const std::string& trace_file, const std::string& metrics_file,
+             telemetry::QoeCollector* fleet) {
   sim::Simulator sim(seed);
-  telemetry::Hub hub;
-  const bool telemetry_on =
-      trace_file != nullptr || metrics_file != nullptr || fleet != nullptr;
-  if (telemetry_on) {
-    hub.set_tracing(trace_file != nullptr);
-    sim.set_telemetry(&hub);  // before the deployment interns its tracks
-  }
+  bench::RunTelemetry run_telemetry(sim, trace_file, metrics_file,
+                                    fleet != nullptr);
   hermes::Deployment deployment(sim, bench::chaos_deployment_config());
   deployment.server(0).documents().add("lesson", bench::lecture_markup(8));
 
@@ -85,37 +78,25 @@ void run_one(std::uint64_t seed, Totals& totals, int index, bool harsh,
   totals.faults += injector.stats().injected;
   totals.crashes += server.stats().crashes;
 
-  if (telemetry_on) {
-    sim.flush_telemetry();
-    deployment.network().flush_telemetry();
-    injector.flush_telemetry();
-    if (session.presentation() != nullptr) {
-      session.presentation()->flush_telemetry();
-    }
-    // Fold this seed's sealed QoE record into the fleet collector. Each
-    // run owns its Simulator, so trace ids restart at 1 every seed — relabel
-    // to the (unique) session index before merging.
-    session.finalize_qoe();
-    if (fleet != nullptr) {
-      if (const auto* rec = hub.qoe().find(session.trace_id())) {
-        telemetry::QoeRecord fleet_rec = *rec;
-        fleet_rec.trace_id = static_cast<std::uint32_t>(index) + 1;
-        fleet_rec.session = "seed/" + std::to_string(seed);
-        fleet->add(fleet_rec);
-      }
-    }
-    if (trace_file != nullptr) {
-      hub.write_trace_json(trace_file);
-      std::printf("  wrote %s (seed %llu: outcome=%s recoveries=%d)\n",
-                  trace_file, static_cast<unsigned long long>(seed),
-                  to_string(session.outcome()).c_str(),
-                  session.recovery_count());
-    }
-    if (metrics_file != nullptr) {
-      hub.write_metrics_csv(metrics_file);
-      std::printf("  wrote %s (seed %llu)\n", metrics_file,
-                  static_cast<unsigned long long>(seed));
-    }
+  injector.flush_telemetry();
+  telemetry::QoeRecord qoe = run_telemetry.finish(deployment, session);
+  // Fold this seed's sealed QoE record into the fleet collector. Each run
+  // owns its Simulator, so trace ids restart at 1 every seed — relabel to
+  // the (unique) session index before merging.
+  if (fleet != nullptr && qoe.trace_id != 0) {
+    qoe.trace_id = static_cast<std::uint32_t>(index) + 1;
+    qoe.session = "seed/" + std::to_string(seed);
+    fleet->add(qoe);
+  }
+  if (!trace_file.empty()) {
+    std::printf("  wrote %s (seed %llu: outcome=%s recoveries=%d)\n",
+                trace_file.c_str(), static_cast<unsigned long long>(seed),
+                to_string(session.outcome()).c_str(),
+                session.recovery_count());
+  }
+  if (!metrics_file.empty()) {
+    std::printf("  wrote %s (seed %llu)\n", metrics_file.c_str(),
+                static_cast<unsigned long long>(seed));
   }
 }
 
@@ -125,41 +106,27 @@ int main(int argc, char** argv) {
   int sessions = 200;
   std::uint64_t base_seed = 10'000;
   bool json = false;
-  bool harsh = false;  // abnormal-session regime (bench::chaos_*)
-  const char* trace_file = nullptr;    // Perfetto trace of the FIRST session
-  const char* metrics_file = nullptr;  // metrics CSV of the FIRST session
-  const char* slo_file = nullptr;      // fleet QoE/SLO JSON across all seeds
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
-      sessions = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      base_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_file = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metrics_file = argv[++i];
-    } else if (std::strcmp(argv[i], "--slo-json") == 0 && i + 1 < argc) {
-      slo_file = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--harsh") == 0) {
-      harsh = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--sessions N] [--seed S] [--trace FILE] "
-                   "[--metrics FILE] [--slo-json FILE] [--harsh] [--json]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  bool harsh = false;        // abnormal-session regime (bench::chaos_*)
+  std::string trace_file;    // Perfetto trace of the FIRST session
+  std::string metrics_file;  // metrics CSV of the FIRST session
+  std::string slo_file;      // fleet QoE/SLO JSON across all seeds
+  bench::Cli("bench_chaos")
+      .value("--sessions", "N", sessions)
+      .value("--seed", "S", base_seed)
+      .value("--trace", "FILE", trace_file)
+      .value("--metrics", "FILE", metrics_file)
+      .value("--slo-json", "FILE", slo_file)
+      .toggle("--harsh", harsh)
+      .toggle("--json", json)
+      .parse(argc, argv);
 
   Totals totals;
   telemetry::QoeCollector fleet;
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < sessions; ++i) {
     run_one(base_seed + static_cast<std::uint64_t>(i), totals, i, harsh,
-            i == 0 ? trace_file : nullptr, i == 0 ? metrics_file : nullptr,
-            slo_file != nullptr ? &fleet : nullptr);
+            i == 0 ? trace_file : "", i == 0 ? metrics_file : "",
+            slo_file.empty() ? nullptr : &fleet);
   }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -180,44 +147,34 @@ int main(int argc, char** argv) {
                 "outcome\n", totals.pending);
   }
 
-  if (slo_file != nullptr) {
+  if (!slo_file.empty()) {
     const auto report = fleet.report();
     std::printf("  slo: compliance=%.4f error_budget_burn=%.2f "
                 "startup_p95=%.1fms rebuffer_ratio_p95=%.4f\n",
                 report.compliance, report.error_budget_burn,
                 report.startup_ms.p95, report.rebuffer_ratio.p95);
-    const std::string slo_json = fleet.to_json();
-    if (FILE* f = std::fopen(slo_file, "w")) {
-      std::fwrite(slo_json.data(), 1, slo_json.size(), f);
-      std::fclose(f);
-      std::printf("  wrote %s (%d sessions)\n", slo_file,
+    if (bench::write_file(slo_file, fleet.to_json())) {
+      std::printf("  wrote %s (%d sessions)\n", slo_file.c_str(),
                   static_cast<int>(fleet.size()));
     }
   }
 
   if (json) {
-    FILE* f = std::fopen("BENCH_chaos.json", "w");
-    if (f != nullptr) {
-      std::fprintf(
-          f,
-          "{\"context\": {\"benchmark\": \"bench_chaos\","
-          " \"host_name\": \"%s\", \"hardware_concurrency\": %u,"
-          " \"threads\": 1, \"assertions\": \"%s\","
-          " \"trace\": \"%s\", \"metrics\": \"%s\", \"slo_json\": \"%s\"},\n"
-          " \"sessions\": %d, \"wall_s\": %.3f, \"sessions_per_sec\": %.2f,\n"
-          " \"completed\": %d, \"degraded\": %d, \"aborted\": %d,"
-          " \"pending\": %d,\n"
-          " \"recoveries\": %lld, \"floor_degradations\": %lld,"
-          " \"faults\": %lld, \"crashes\": %lld}\n",
-          bench::host_name().c_str(), bench::hardware_threads(),
-          bench::built_with_assertions() ? "enabled" : "disabled",
-          trace_file != nullptr ? trace_file : "",
-          metrics_file != nullptr ? metrics_file : "",
-          slo_file != nullptr ? slo_file : "",
-          sessions, wall_s, rate, totals.completed, totals.degraded,
-          totals.aborted, totals.pending, totals.recoveries,
-          totals.degradations, totals.faults, totals.crashes);
-      std::fclose(f);
+    std::string doc = bench::json_context("bench_chaos");
+    bench::jsonf(
+        doc,
+        ",\n    \"threads\": 1,"
+        " \"trace\": \"%s\", \"metrics\": \"%s\", \"slo_json\": \"%s\"},\n"
+        " \"sessions\": %d, \"wall_s\": %.3f, \"sessions_per_sec\": %.2f,\n"
+        " \"completed\": %d, \"degraded\": %d, \"aborted\": %d,"
+        " \"pending\": %d,\n"
+        " \"recoveries\": %lld, \"floor_degradations\": %lld,"
+        " \"faults\": %lld, \"crashes\": %lld}\n",
+        trace_file.c_str(), metrics_file.c_str(), slo_file.c_str(),
+        sessions, wall_s, rate, totals.completed, totals.degraded,
+        totals.aborted, totals.pending, totals.recoveries,
+        totals.degradations, totals.faults, totals.crashes);
+    if (bench::write_file("BENCH_chaos.json", doc)) {
       std::printf("  wrote BENCH_chaos.json\n");
     }
   }

@@ -12,14 +12,12 @@
 //
 // `--json` mirrors the results into BENCH_multisession.json.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -47,19 +45,6 @@ struct ThreadResult {
   std::int64_t cache_misses = 0;
   double cache_hit_rate = 0.0;
 };
-
-std::vector<int> parse_thread_list(const char* csv) {
-  std::vector<int> threads;
-  for (const char* p = csv; *p != '\0';) {
-    char* end = nullptr;
-    const long v = std::strtol(p, &end, 10);
-    if (end == p) break;
-    if (v > 0) threads.push_back(static_cast<int>(v));
-    p = *end == ',' ? end + 1 : end;
-  }
-  if (threads.empty()) threads.push_back(1);
-  return threads;
-}
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -101,57 +86,31 @@ int main(int argc, char** argv) {
   double zipf_s = 1.0;
   std::vector<int> thread_counts = {1, 2, 4};
   bool json = false;
-  bool batching = true;
   bool cache_enabled = true;
-  double cache_mb = 64.0;
   double run_for_s = 20.0;
   std::string trace_file;    // Perfetto trace of session 0
   std::string metrics_file;  // metrics CSV of session 0
   std::string slo_file;      // fleet QoE/SLO JSON across all sessions
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--smoke") {
-      sessions = 4;
-      run_for_s = 5.0;
-      thread_counts = {1, 2};
-    } else if (arg == "--unbatched") {
-      // Reference per-packet link path; outcomes (and fingerprints) are
-      // identical to the batched default, only the wall-clock differs.
-      batching = false;
-    } else if (arg == "--no-cache") {
+  const auto smoke = [&] {
+    sessions = 4;
+    run_for_s = 5.0;
+    thread_counts = {1, 2};
+  };
+  bench::Cli("bench_multisession")
+      .value("--sessions", "N", sessions)
+      .value("--documents", "N", documents)
+      .value("--zipf", "S", zipf_s)
+      .value("--threads", "1,2,4", thread_counts)
+      .toggle("--smoke", smoke)
       // Per-frame synthesis reference path; outcomes identical, wall-clock
       // is what the shared cache buys back.
-      cache_enabled = false;
-    } else if (arg.rfind("--sessions=", 0) == 0) {
-      sessions = std::atoi(arg.data() + 11);
-    } else if (arg.rfind("--documents=", 0) == 0) {
-      documents = std::max(1, std::atoi(arg.data() + 12));
-    } else if (arg.rfind("--zipf=", 0) == 0) {
-      zipf_s = std::atof(arg.data() + 7);
-    } else if (arg.rfind("--cache-mb=", 0) == 0) {
-      cache_mb = std::atof(arg.data() + 11);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      thread_counts = parse_thread_list(arg.data() + 10);
-    } else if (arg.rfind("--run-for=", 0) == 0) {
-      run_for_s = std::atof(arg.data() + 10);
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      trace_file = std::string(arg.substr(8));
-    } else if (arg.rfind("--metrics=", 0) == 0) {
-      metrics_file = std::string(arg.substr(10));
-    } else if (arg.rfind("--slo-json=", 0) == 0) {
-      slo_file = std::string(arg.substr(11));
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_multisession [--sessions=N] "
-                   "[--documents=N] [--zipf=S] [--threads=1,2,4] "
-                   "[--run-for=SECONDS] [--cache-mb=MB] [--smoke] "
-                   "[--unbatched] [--no-cache] [--trace=FILE] "
-                   "[--metrics=FILE] [--slo-json=FILE] [--json]\n");
-      return 1;
-    }
-  }
+      .toggle("--no-cache", [&] { cache_enabled = false; })
+      .value("--trace", "FILE", trace_file)
+      .value("--metrics", "FILE", metrics_file)
+      .value("--slo-json", "FILE", slo_file)
+      .toggle("--json", json)
+      .parse(argc, argv);
+  documents = std::max(1, documents);
 
   bench::warn_if_debug_build("bench_multisession");
   const unsigned hw = std::thread::hardware_concurrency();
@@ -164,15 +123,14 @@ int main(int argc, char** argv) {
   bench::SessionParams base;
   base.seed = 7;
   base.run_for = Time::sec(static_cast<std::int64_t>(run_for_s) + 2);
-  base.link_batching = batching;
   base.collect_qoe = !slo_file.empty();
 
   // One process-wide cache shared by every session on every shard — the
   // tentpole: a Zipf-popular document's frames are synthesized exactly once.
   std::shared_ptr<media::FrameCache> cache;
   if (cache_enabled) {
-    cache = std::make_shared<media::FrameCache>(media::FrameCache::Config{
-        static_cast<std::size_t>(cache_mb * 1024.0 * 1024.0)});
+    cache = std::make_shared<media::FrameCache>(
+        media::FrameCache::Config{base.frame_cache_bytes});
     base.frame_cache = cache;
   } else {
     base.frame_cache_bytes = 0;  // per-server caches off too: true reference
@@ -249,9 +207,7 @@ int main(int argc, char** argv) {
   std::string ref_slo;
   if (!slo_file.empty()) {
     ref_slo = fleet_slo_json(reference);
-    if (std::FILE* f = std::fopen(slo_file.c_str(), "w")) {
-      std::fwrite(ref_slo.data(), 1, ref_slo.size(), f);
-      std::fclose(f);
+    if (bench::write_file(slo_file, ref_slo)) {
       std::printf("wrote %s (%d sessions)\n\n", slo_file.c_str(), sessions);
     }
   }
@@ -316,43 +272,31 @@ int main(int argc, char** argv) {
               hw == 1 ? "" : "s");
 
   if (json) {
-    std::FILE* out = std::fopen("BENCH_multisession.json", "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write BENCH_multisession.json\n");
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"context\": {\n"
-                 "    \"benchmark\": \"bench_multisession\",\n"
-                 "    \"host_name\": \"%s\",\n"
+    std::string out = bench::json_context("bench_multisession");
+    bench::jsonf(out,
+                 ",\n"
                  "    \"sessions\": %d,\n"
                  "    \"documents\": %d,\n"
                  "    \"zipf_s\": %.2f,\n"
                  "    \"session_sim_seconds\": %.1f,\n"
                  "    \"num_cpus\": %u,\n"
-                 "    \"hardware_concurrency\": %u,\n"
-                 "    \"link_batching\": %s,\n"
+                 "    \"link_batching\": true,\n"
                  "    \"frame_cache\": %s,\n"
                  "    \"frame_cache_mb\": %.1f,\n"
                  "    \"trace\": \"%s\",\n"
                  "    \"metrics\": \"%s\",\n"
-                 "    \"slo_json\": \"%s\",\n"
-                 "    \"assertions\": \"%s\"\n"
+                 "    \"slo_json\": \"%s\"\n"
                  "  },\n"
                  "  \"deterministic\": %s,\n"
                  "  \"results\": [\n",
-                 bench::host_name().c_str(), sessions, documents, zipf_s,
-                 run_for_s, hw, bench::hardware_threads(),
-                 batching ? "true" : "false",
+                 sessions, documents, zipf_s, run_for_s, hw,
                  cache_enabled ? "true" : "false",
-                 cache_enabled ? cache_mb : 0.0, trace_file.c_str(),
-                 metrics_file.c_str(), slo_file.c_str(),
-                 bench::built_with_assertions() ? "enabled" : "disabled",
+                 base.frame_cache_bytes / (1024.0 * 1024.0),
+                 trace_file.c_str(), metrics_file.c_str(), slo_file.c_str(),
                  all_deterministic ? "true" : "false");
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& row = results[i];
-      std::fprintf(out,
+      bench::jsonf(out,
                    "    {\"threads\": %d, \"wall_s\": %.4f, "
                    "\"sessions_per_sec\": %.3f, \"speedup\": %.3f, "
                    "\"cache_hits\": %lld, \"cache_misses\": %lld, "
@@ -363,8 +307,8 @@ int main(int argc, char** argv) {
                    row.cache_hit_rate, row.deterministic ? "true" : "false",
                    i + 1 < results.size() ? "," : "");
     }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
+    out += "  ]\n}\n";
+    if (!bench::write_file("BENCH_multisession.json", out)) return 1;
     std::printf("\nwrote BENCH_multisession.json\n");
   }
   return all_deterministic ? 0 : 1;

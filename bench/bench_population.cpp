@@ -17,10 +17,6 @@
 // every cell of every sweep, so fault injection on the partitioned
 // population is regression-checked here.
 //
-//   bench_population [--sessions N] [--servers N] [--documents N]
-//                    [--partitions P] [--seed S] [--smoke] [--overload]
-//                    [--json]
-//
 // --json writes BENCH_population.json, guarded by
 // tools/check_bench_regression.py (events_per_sec per scenario/partitions/
 // threads cell; a non-deterministic fresh run is a hard failure).
@@ -28,7 +24,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -108,45 +103,28 @@ int main(int argc, char** argv) {
   bool json = false;
   bool overload = false;
   std::string slo_file;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (arg == "--sessions") {
-      cfg.sessions = std::atoi(next());
-    } else if (arg == "--servers") {
-      cfg.servers = std::atoi(next());
-    } else if (arg == "--documents") {
-      cfg.documents = std::atoi(next());
-    } else if (arg == "--partitions") {
-      partitions = static_cast<std::uint32_t>(std::atoll(next()));
-    } else if (arg == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--slo-json") {
-      slo_file = next();
-    } else if (arg == "--smoke") {
-      cfg.sessions = 48;
-      cfg.servers = 2;
-      cfg.documents = 6;
-      cfg.arrival_window = Time::sec(6);
-      cfg.run_for = Time::sec(16);
-      // Tight fleet (~4 full-quality viewers per server): even 48 sessions
-      // overload admission, so the --overload smoke leg exercises the wait
-      // queue and retry machinery rather than sailing through.
-      cfg.server_template.admission.capacity_bps = 6e6;
-    } else if (arg == "--overload") {
-      overload = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_population [--sessions N] [--servers N] "
-                   "[--documents N] [--partitions P] [--seed S] "
-                   "[--slo-json FILE] [--smoke] [--overload] [--json]\n");
-      return 1;
-    }
-  }
+  const auto smoke = [&cfg] {
+    cfg.sessions = 48;
+    cfg.servers = 2;
+    cfg.documents = 6;
+    cfg.arrival_window = Time::sec(6);
+    cfg.run_for = Time::sec(16);
+    // Tight fleet (~4 full-quality viewers per server): even 48 sessions
+    // overload admission, so the --overload smoke leg exercises the wait
+    // queue and retry machinery rather than sailing through.
+    cfg.server_template.admission.capacity_bps = 6e6;
+  };
+  bench::Cli("bench_population")
+      .value("--sessions", "N", cfg.sessions)
+      .value("--servers", "N", cfg.servers)
+      .value("--documents", "N", cfg.documents)
+      .value("--partitions", "P", partitions)
+      .value("--seed", "S", cfg.seed)
+      .value("--slo-json", "FILE", slo_file)
+      .toggle("--smoke", smoke)
+      .toggle("--overload", overload)
+      .toggle("--json", json)
+      .parse(argc, argv);
   bench::warn_if_debug_build("bench_population");
 
   const unsigned hw = bench::hardware_threads();
@@ -214,9 +192,7 @@ int main(int argc, char** argv) {
           path += suffix;
         }
       }
-      if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-        std::fwrite(seq.qoe_json.data(), 1, seq.qoe_json.size(), f);
-        std::fclose(f);
+      if (bench::write_file(path, seq.qoe_json)) {
         std::printf("wrote %s\n", path.c_str());
       }
     }
@@ -274,17 +250,9 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    std::FILE* out = std::fopen("BENCH_population.json", "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write BENCH_population.json\n");
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"context\": {\n"
-                 "    \"benchmark\": \"bench_population\",\n"
-                 "    \"host_name\": \"%s\",\n"
-                 "    \"hardware_concurrency\": %u,\n"
+    std::string out = bench::json_context("bench_population");
+    bench::jsonf(out,
+                 ",\n"
                  "    \"sessions\": %d,\n"
                  "    \"servers\": %d,\n"
                  "    \"documents\": %d,\n"
@@ -300,13 +268,11 @@ int main(int argc, char** argv) {
                  "    \"failed\": %lld,\n"
                  "    \"unfinished\": %lld,\n"
                  "    \"admission_rejections\": %lld,\n"
-                 "    \"overload_sweep\": %s,\n"
-                 "    \"assertions\": \"%s\"\n"
+                 "    \"overload_sweep\": %s\n"
                  "  },\n"
                  "  \"deterministic\": %s,\n"
                  "  \"results\": [\n",
-                 bench::host_name().c_str(), hw, cfg.sessions, cfg.servers,
-                 cfg.documents, partitions,
+                 cfg.sessions, cfg.servers, cfg.documents, partitions,
                  static_cast<unsigned long long>(cfg.seed),
                  static_cast<long long>(lookahead.us()),
                  static_cast<unsigned long long>(seq_events),
@@ -319,11 +285,10 @@ int main(int argc, char** argv) {
                  static_cast<long long>(base_seq.unfinished),
                  static_cast<long long>(base_seq.admission_rejections),
                  overload ? "true" : "false",
-                 bench::built_with_assertions() ? "enabled" : "disabled",
                  all_deterministic ? "true" : "false");
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
-      std::fprintf(out,
+      bench::jsonf(out,
                    "    {\"scenario\": \"%s\", \"partitions\": %u, "
                    "\"threads\": %d, "
                    "\"wall_s\": %.4f, \"events_per_sec\": %.1f, "
@@ -337,8 +302,8 @@ int main(int argc, char** argv) {
                    row.deterministic ? "true" : "false",
                    i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
+    out += "  ]\n}\n";
+    if (!bench::write_file("BENCH_population.json", out)) return 1;
     std::printf("wrote BENCH_population.json\n");
   }
   return all_deterministic ? 0 : 1;

@@ -9,16 +9,13 @@
 // and `--metrics FILE` the final metrics snapshot as CSV.
 
 #include <cstdio>
-#include <map>
 #include <string>
-#include <string_view>
 
 #include "client/browser_session.hpp"
 #include "harness.hpp"
 #include "hermes/deployment.hpp"
 #include "hermes/sample_content.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/telemetry.hpp"
 
 using namespace hyms;
 
@@ -27,37 +24,19 @@ int main(int argc, char** argv) {
   bool events_only = false;
   std::string trace_file;
   std::string metrics_file;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--events") {
-      events_only = true;
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_file = argv[++i];
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metrics_file = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_scenario_playout [--events] [--json] "
-                   "[--trace FILE] [--metrics FILE]\n");
-      return 1;
-    }
-  }
+  bench::Cli("bench_scenario_playout")
+      .toggle("--events", events_only)
+      .toggle("--json", json)
+      .value("--trace", "FILE", trace_file)
+      .value("--metrics", "FILE", metrics_file)
+      .parse(argc, argv);
   if (!events_only) {
     std::printf(
         "E2: Fig. 2 scenario playout over a clean 10 Mbps access link\n\n");
   }
 
   sim::Simulator sim(42);
-  // The hub must be installed before the deployment wires the network, so
-  // links/sessions can intern their trace tracks at construction.
-  telemetry::Hub hub;
-  const bool telemetry_on = !trace_file.empty() || !metrics_file.empty();
-  if (telemetry_on) {
-    hub.set_tracing(!trace_file.empty());
-    sim.set_telemetry(&hub);
-  }
+  bench::RunTelemetry run_telemetry(sim, trace_file, metrics_file, false);
   hermes::Deployment deployment(sim, hermes::Deployment::Config{});
   deployment.server(0).documents().add("fig2", hermes::fig2_lesson_markup());
 
@@ -81,18 +60,7 @@ int main(int argc, char** argv) {
   const auto& trace = runtime.trace();
   const Time epoch = runtime.scheduler().presentation_epoch();
 
-  if (telemetry_on) {
-    sim.flush_telemetry();
-    deployment.network().flush_telemetry();
-    deployment.server(0).flush_telemetry();
-    runtime.flush_telemetry();
-    if (!trace_file.empty() && hub.write_trace_json(trace_file)) {
-      std::fprintf(stderr, "trace written to %s\n", trace_file.c_str());
-    }
-    if (!metrics_file.empty() && hub.write_metrics_csv(metrics_file)) {
-      std::fprintf(stderr, "metrics written to %s\n", metrics_file.c_str());
-    }
-  }
+  run_telemetry.finish(deployment, session);
 
   if (events_only) {
     std::fputs(trace.events_csv().c_str(), stdout);
@@ -100,32 +68,21 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    std::FILE* out = std::fopen("BENCH_scenario_playout.json", "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write BENCH_scenario_playout.json\n");
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"context\": {\n"
-                 "    \"benchmark\": \"bench_scenario_playout\",\n"
-                 "    \"host_name\": \"%s\",\n"
-                 "    \"hardware_concurrency\": %u,\n"
-                 "    \"threads\": 1,\n"
-                 "    \"assertions\": \"%s\"\n"
+    std::string out = bench::json_context("bench_scenario_playout");
+    bench::jsonf(out,
+                 ",\n"
+                 "    \"threads\": 1\n"
                  "  },\n"
                  "  \"max_skew_ms\": %.3f,\n"
                  "  \"finished\": %s,\n"
                  "  \"streams\": [\n",
-                 bench::host_name().c_str(), bench::hardware_threads(),
-                 bench::built_with_assertions() ? "enabled" : "disabled",
                  trace.max_abs_skew_ms(),
                  runtime.scheduler().finished() ? "true" : "false");
     const auto& specs = runtime.scenario().streams;
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const auto& spec = specs[i];
       const auto& stats = trace.stream(spec.id);
-      std::fprintf(
+      bench::jsonf(
           out,
           "    {\"stream\": \"%s\", \"type\": \"%s\", "
           "\"authored_start_s\": %.3f, \"measured_start_s\": %.3f, "
@@ -136,8 +93,8 @@ int main(int argc, char** argv) {
           (stats.last_play - epoch).to_seconds(), stats.fresh_ratio(),
           i + 1 < specs.size() ? "," : "");
     }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
+    out += "  ]\n}\n";
+    if (!bench::write_file("BENCH_scenario_playout.json", out)) return 1;
   }
 
   bench::table_header({"stream", "type", "authored start", "authored end",

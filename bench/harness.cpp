@@ -2,7 +2,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdarg>
+#include <cstdlib>
 #include <thread>
 
 #include "client/browser_session.hpp"
@@ -81,19 +84,37 @@ net::ChaosProfile chaos_profile(bool harsh) {
   return profile;
 }
 
+RunTelemetry::RunTelemetry(sim::Simulator& sim, std::string trace_file,
+                           std::string metrics_file, bool collect_qoe)
+    : trace_file_(std::move(trace_file)),
+      metrics_file_(std::move(metrics_file)) {
+  if (!collect_qoe && trace_file_.empty() && metrics_file_.empty()) return;
+  hub_.set_tracing(!trace_file_.empty());
+  sim.set_telemetry(&hub_);
+}
+
+telemetry::QoeRecord RunTelemetry::finish(hermes::Deployment& deployment,
+                                          client::BrowserSession& session) {
+  if (deployment.sim().telemetry() != &hub_) return {};
+  // Seal the session's QoE record (horizon runs never disconnect).
+  session.finalize_qoe();
+  deployment.sim().flush_telemetry();
+  deployment.network().flush_telemetry();
+  for (int i = 0; i < deployment.server_count(); ++i) {
+    deployment.server(i).flush_telemetry();
+  }
+  if (auto* p = session.presentation()) p->flush_telemetry();
+  if (!trace_file_.empty()) hub_.write_trace_json(trace_file_);
+  if (!metrics_file_.empty()) hub_.write_metrics_csv(metrics_file_);
+  const auto* rec = hub_.qoe().find(session.trace_id());
+  return rec != nullptr ? *rec : telemetry::QoeRecord{};
+}
+
 SessionMetrics run_session(const SessionParams& params) {
   SessionMetrics metrics;
   sim::Simulator sim(params.seed);
-
-  // Install the hub before the deployment builds the network: components
-  // intern their telemetry tracks in their constructors.
-  telemetry::Hub hub;
-  const bool telemetry_on = !params.trace_file.empty() ||
-                            !params.metrics_file.empty() || params.collect_qoe;
-  if (telemetry_on) {
-    hub.set_tracing(!params.trace_file.empty());
-    sim.set_telemetry(&hub);
-  }
+  RunTelemetry run_telemetry(sim, params.trace_file, params.metrics_file,
+                             params.collect_qoe);
 
   hermes::Deployment::Config config;
   config.client_access.bandwidth_bps = params.access_bandwidth_bps;
@@ -170,26 +191,8 @@ SessionMetrics run_session(const SessionParams& params) {
   session.request_document("doc");
   sim.run_until(params.run_for);
 
-  auto export_telemetry = [&] {
-    if (!telemetry_on) return;
-    // Seal the session's QoE record (horizon runs never disconnect) and hand
-    // it to the caller; the benches fold these into the fleet SLO report.
-    session.finalize_qoe();
-    if (const auto* rec = hub.qoe().find(session.trace_id())) {
-      metrics.qoe = *rec;
-    }
-    sim.flush_telemetry();
-    deployment.network().flush_telemetry();
-    deployment.server(0).flush_telemetry();
-    if (session.presentation() != nullptr) {
-      session.presentation()->flush_telemetry();
-    }
-    if (!params.trace_file.empty()) hub.write_trace_json(params.trace_file);
-    if (!params.metrics_file.empty()) hub.write_metrics_csv(params.metrics_file);
-  };
-
   if (session.presentation() == nullptr) {
-    export_telemetry();
+    metrics.qoe = run_telemetry.finish(deployment, session);
     metrics.failed = true;
     metrics.error = session.last_error();
     return metrics;
@@ -238,7 +241,7 @@ SessionMetrics run_session(const SessionParams& params) {
   metrics.link_dropped_loss = deployment.client_downlink(0)->stats().dropped_loss;
   metrics.link_dropped_queue =
       deployment.client_downlink(0)->stats().dropped_queue;
-  export_telemetry();
+  metrics.qoe = run_telemetry.finish(deployment, session);
   return metrics;
 }
 
@@ -324,7 +327,7 @@ bool built_with_assertions() {
 #endif
 }
 
-std::string host_name() {
+static std::string host_name() {
   char buf[256] = {};
   if (::gethostname(buf, sizeof(buf) - 1) != 0 || buf[0] == '\0') {
     return "unknown";
@@ -337,6 +340,37 @@ unsigned hardware_threads() {
   return hw == 0 ? 1u : hw;
 }
 
+std::string json_context(const std::string& benchmark) {
+  return "{\n  \"context\": {\n    \"benchmark\": \"" + benchmark +
+         "\",\n    \"host_name\": \"" + host_name() +
+         "\",\n    \"hardware_concurrency\": " +
+         std::to_string(hardware_threads()) +
+         ",\n    \"assertions\": \"" +
+         (built_with_assertions() ? "enabled" : "disabled") + "\"";
+}
+
+void jsonf(std::string& out, const char* fmt, ...) {
+  std::va_list args;
+  va_start(args, fmt);
+  char* text = nullptr;
+  const int n = ::vasprintf(&text, fmt, args);
+  va_end(args);
+  if (n < 0) return;
+  out.append(text, static_cast<std::size_t>(n));
+  std::free(text);
+}
+
+bool write_file(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    ok = std::fclose(f) == 0 && ok;
+  }
+  if (!ok) std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return ok;
+}
+
 void warn_if_debug_build(const char* bench_name) {
   if (!built_with_assertions()) return;
   std::fprintf(stderr,
@@ -345,6 +379,33 @@ void warn_if_debug_build(const char* bench_name) {
                "*** Results are NOT comparable to committed Release "
                "baselines; rebuild with -DCMAKE_BUILD_TYPE=Release. ***\n",
                bench_name);
+}
+
+void Cli::parse(int argc, const char* const* argv) const {
+  std::string error;
+  for (int i = 1; i < argc && error.empty(); ++i) {
+    const std::string arg = argv[i];
+    const auto flag = std::ranges::find(flags_, arg, &Flag::name);
+    if (flag == flags_.end()) {
+      error = "unknown flag '" + arg + "'";
+    } else if (flag->toggle) {
+      flag->toggle();
+    } else if (i + 1 == argc ||
+               std::string_view(argv[i + 1]).starts_with("--")) {
+      error = arg + " needs a value";
+    } else if (!flag->set(argv[++i])) {
+      error = "bad value '" + std::string(argv[i]) + "' for " + arg;
+    }
+  }
+  if (error.empty()) return;
+  std::string usage = "usage: " + program_;
+  for (const Flag& f : flags_) {
+    usage += " [" + f.name + (f.placeholder.empty() ? "" : " ") +
+             f.placeholder + "]";
+  }
+  std::fprintf(stderr, "%s: %s\n%s\n", program_.c_str(), error.c_str(),
+               usage.c_str());
+  std::exit(2);
 }
 
 namespace {

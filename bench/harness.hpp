@@ -4,12 +4,15 @@
 // deployment, runs one full client-server presentation under configurable
 // network impairments, and collects the metrics EXPERIMENTS.md reports.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "client/browser_session.hpp"
@@ -19,7 +22,10 @@
 #include "net/fault.hpp"
 #include "net/loss.hpp"
 #include "server/qos_manager.hpp"
+#include "sim/simulator.hpp"
 #include "telemetry/qoe.hpp"
+#include "telemetry/telemetry.hpp"
+#include "util/strings.hpp"
 #include "util/time.hpp"
 
 namespace hyms::bench {
@@ -72,9 +78,7 @@ struct SessionParams {
   /// SessionMetrics::events_csv compares byte-for-byte across runs.
   bool capture_playout_events = false;
 
-  // Telemetry export (empty = off). When either is set a telemetry::Hub is
-  // installed on the simulator before the deployment is built; at the end of
-  // the run the Perfetto trace JSON / metrics CSV are written to these paths.
+  // Perfetto trace JSON / metrics CSV paths (empty = off); see RunTelemetry.
   std::string trace_file;
   std::string metrics_file;
   /// Install a hub (tracing off) even without export paths and return the
@@ -138,18 +142,50 @@ std::vector<SessionMetrics> run_sessions_sharded(
 /// of the same seed must produce equal fingerprints (determinism check).
 std::uint64_t session_fingerprint(const SessionMetrics& metrics);
 
+/// The telemetry of one bench run. Build it right after the Simulator, so
+/// components can intern their tracks in their constructors. It installs a
+/// hub only when a trace, metrics or QoE export is wanted, and records spans
+/// only when `trace_file` is set.
+class RunTelemetry {
+ public:
+  RunTelemetry(sim::Simulator& sim, std::string trace_file,
+               std::string metrics_file, bool collect_qoe);
+  RunTelemetry(const RunTelemetry&) = delete;
+  RunTelemetry& operator=(const RunTelemetry&) = delete;
+
+  /// Flush the simulator, the network, every server and the session's
+  /// presentation; write the trace JSON and the metrics CSV; return the
+  /// session's sealed QoE record (trace_id == 0 when no hub is installed).
+  telemetry::QoeRecord finish(hermes::Deployment& deployment,
+                              client::BrowserSession& session);
+
+ private:
+  std::string trace_file_;
+  std::string metrics_file_;
+  telemetry::Hub hub_;
+};
+
 /// True when the binary was compiled with assertions on (no NDEBUG).
 [[nodiscard]] bool built_with_assertions();
-
-/// OS host name ("unknown" when unavailable). Emitted into every BENCH_*.json
-/// context so tools/check_bench_regression.py can detect cross-host
-/// comparisons and downgrade them to warnings.
-[[nodiscard]] std::string host_name();
 
 /// std::thread::hardware_concurrency() with a floor of 1 (the standard allows
 /// 0 for "unknown"). Emitted into every BENCH_*.json context: speedup numbers
 /// from a 1-CPU container are not comparable to a many-core host's.
 [[nodiscard]] unsigned hardware_threads();
+
+/// Head of a BENCH_*.json document through the context fields every bench
+/// shares: benchmark, host_name (check_bench_regression.py warns across
+/// hosts), hardware_concurrency and assertions. The caller appends its own
+/// fields, each starting ",\n    ", and closes the context.
+[[nodiscard]] std::string json_context(const std::string& benchmark);
+
+/// printf-append to a BENCH_*.json document.
+[[gnu::format(printf, 2, 3)]] void jsonf(std::string& out, const char* fmt,
+                                         ...);
+
+/// Write `text` to `path`. On failure print "cannot write PATH" to stderr
+/// and return false.
+bool write_file(const std::string& path, std::string_view text);
 
 /// Print a loud stderr warning when the benchmark binary is a debug build —
 /// numbers from it are not comparable to the committed Release baselines.
@@ -173,6 +209,69 @@ hermes::Deployment::Config chaos_deployment_config();
 /// Fault-plan shape of a chaos run; `harsh` is denser and longer, weighted
 /// toward server crashes and partitions.
 net::ChaosProfile chaos_profile(bool harsh);
+
+// --- command line ------------------------------------------------------------
+
+/// The bench binaries' flag parser. One syntax: `--name VALUE` for values
+/// and a bare `--name` for switches. Numbers must parse whole. Flags apply
+/// in argv order, so an explicit flag after a preset switch (--smoke)
+/// overrides the preset, and the reverse order keeps the preset.
+class Cli {
+ public:
+  explicit Cli(std::string program) : program_(std::move(program)) {}
+
+  /// `--name VALUE` into a number, a string or a comma-separated list of
+  /// ints (`--threads 1,2,4`); `placeholder` names VALUE in the usage line.
+  template <typename T>
+  Cli& value(std::string name, std::string placeholder, T& out) {
+    flags_.push_back({std::move(name), std::move(placeholder),
+                      [&out](auto arg) { return parse_whole(arg, out); }, {}});
+    return *this;
+  }
+  /// A bare switch that runs `apply` where it appears, or sets `out`.
+  Cli& toggle(std::string name, std::function<void()> apply) {
+    flags_.push_back({std::move(name), "", {}, std::move(apply)});
+    return *this;
+  }
+  Cli& toggle(std::string name, bool& out) {
+    return toggle(std::move(name), [&out] { out = true; });
+  }
+
+  /// Apply argv in order. A missing value, a malformed number, the
+  /// `--name=VALUE` form or an unknown flag prints the error and the usage
+  /// line (the declared flags, in order) to stderr and exits 2.
+  void parse(int argc, const char* const* argv) const;
+
+ private:
+  struct Flag {
+    std::string name;
+    std::string placeholder;                    // empty for a switch
+    std::function<bool(std::string_view)> set;  // false: malformed value
+    std::function<void()> toggle;
+  };
+
+  /// All of `text` into `out`; false when it is malformed ("5x", "",
+  /// "1,,2"). Numbers go through std::from_chars.
+  template <typename T>
+  static bool parse_whole(std::string_view text, T& out) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      out = text;
+    } else if constexpr (std::is_same_v<T, std::vector<int>>) {
+      out.clear();
+      for (const std::string& item : util::split(text, ',')) {
+        if (!parse_whole(item, out.emplace_back())) return false;
+      }
+    } else {
+      const char* end = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+      return ec == std::errc{} && ptr == end;
+    }
+    return true;
+  }
+
+  std::string program_;
+  std::vector<Flag> flags_;
+};
 
 // --- table output ------------------------------------------------------------
 

@@ -249,6 +249,7 @@ PopulationResult run_population(const PopulationConfig& cfg, int threads) {
   std::vector<sim::Simulator*> sim_ptrs;
   for (std::size_t p = 0; p < num_parts; ++p) {
     hubs.push_back(std::make_unique<telemetry::Hub>());
+    hubs.back()->set_tracing(false);  // the population reads QoE only
     sims.push_back(std::make_unique<sim::Simulator>(cfg.seed));
     if (cfg.telemetry) sims.back()->set_telemetry(hubs.back().get());
     sim_ptrs.push_back(sims.back().get());

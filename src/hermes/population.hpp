@@ -23,12 +23,17 @@ namespace hyms::hermes {
 /// the correctness gate bench_population and test_population enforce before
 /// any timing is reported.
 ///
-/// Known exception (open; ROADMAP item 4): the benchmark's crowd shape (4
-/// servers, 60 Mbps admission capacity, 12 documents) at 400 sessions,
-/// seed 2, on 4 partitions diverges from the sequential kernel — events_csv
-/// first differs at session 294's `error` row. The cause is not isolated;
-/// Deployment::Config names equal-microsecond ties between a local event and
-/// a cross-partition arrival as the place the order can differ.
+/// Known exception (open; ROADMAP item 1): the benchmark's crowd shape (4
+/// servers, 60 Mbps admission capacity, 12 documents) diverges from the
+/// sequential kernel on 4 partitions at 400 sessions, seed 2 — events_csv
+/// first differs at session 294's `error` row — and at 1000 sessions in
+/// overload_chaos, seed 1 (fingerprint 0xe83d914c44b9e315 against the
+/// sequential 0xdfcec2c606685d79). The cause: two requests from clients on
+/// different partitions reach the backbone router in the same microsecond.
+/// A conduit link (a link whose two ends sit on different partitions) arms
+/// its calendar event at the executor barrier, in (earliest, source
+/// partition, sequence) order; the sequential kernel arms the same event at
+/// send time. So the tie can resolve either way.
 struct PopulationConfig {
   int sessions = 64;
   int servers = 2;
@@ -60,6 +65,9 @@ struct PopulationConfig {
   /// Document shape (mirrors the bench lecture: slide image + synced AV).
   int doc_seconds = 6;
   int video_kbps = 700;
+  /// Install one telemetry hub per partition. It records per-session QoE
+  /// only (qoe_json and the QoE columns of events_csv); span tracing stays
+  /// off.
   bool telemetry = true;
   /// Overload control: servers get an admission wait queue + degradation
   /// ladder (unless the server_template already configured them) and every

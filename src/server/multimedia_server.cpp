@@ -9,6 +9,14 @@
 
 namespace hyms::server {
 
+namespace {
+/// How long a distributed search waits for peer replies.
+constexpr Time kSearchTimeout = Time::msec(800);
+/// RTCP sender-report interval and RTP payload cap of every media flow.
+constexpr Time kRtcpSrInterval = Time::sec(1);
+constexpr std::size_t kRtpMaxPayload = 1400;
+}  // namespace
+
 std::string to_string(SessionState state) {
   switch (state) {
     case SessionState::kAwaitingAuth: return "awaiting-auth";
@@ -102,7 +110,6 @@ class MultimediaServer::ClientSession {
       return;
     }
     current_ctx_ = ctx;
-    if (ctx.trace_id != 0) peer_trace_id_ = ctx.trace_id;
     const proto::Message& msg = decoded.value();
     bool span_open = false;
     if (ctx.valid()) {
@@ -374,8 +381,8 @@ class MultimediaServer::ClientSession {
         break;
       }
       MediaStreamSession::Params params;
-      params.sr_interval = server_.config_.rtcp_sr_interval;
-      params.max_payload = server_.config_.rtp_max_payload;
+      params.sr_interval = kRtcpSrInterval;
+      params.max_payload = kRtpMaxPayload;
       params.frame_cache = server_.config_.frame_cache.get();
       params.initial_level = 0;
       params.floor_level = spec.type == media::MediaType::kVideo
@@ -717,11 +724,10 @@ class MultimediaServer::ClientSession {
       search_->conns.push_back(std::move(conn));
       search_->chans.push_back(std::move(chan));
     }
-    search_->timeout = sim_.schedule_after(server_.config_.search_timeout,
-                                           [this] {
-                                             search_->timeout = sim::kNoEvent;
-                                             finish_search();
-                                           });
+    search_->timeout = sim_.schedule_after(kSearchTimeout, [this] {
+      search_->timeout = sim::kNoEvent;
+      finish_search();
+    });
   }
 
   void finish_search() {
@@ -754,9 +760,6 @@ class MultimediaServer::ClientSession {
   /// Trace context of the request currently being handled (echoed on every
   /// reply sent from inside the handler); null outside handlers.
   telemetry::TraceContext current_ctx_;
-  /// Last nonzero trace id the peer stamped — keys flight-recorder entries
-  /// for server-side events that outlive the triggering request.
-  std::uint32_t peer_trace_id_ = 0;
   telemetry::TrackId trace_track_ = telemetry::kInvalidTraceId;
 };
 

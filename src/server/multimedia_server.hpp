@@ -57,8 +57,6 @@ class MultimediaServer {
     net::Port control_port = 5000;
     /// How long a suspended session is kept before the server closes it.
     Time suspend_keepalive = Time::sec(30);
-    /// How long a distributed search waits for peer replies.
-    Time search_timeout = Time::msec(800);
     /// Dead-peer detection: a viewing/paused session whose client has been
     /// silent (no control frames, no RTCP feedback) this long while flows
     /// are still active is torn down, releasing its admission reservation —
@@ -66,8 +64,6 @@ class MultimediaServer {
     Time dead_peer_timeout = Time::sec(10);
     AdmissionControl::Config admission;
     ServerQosManager::Config qos;
-    Time rtcp_sr_interval = Time::sec(1);
-    std::size_t rtp_max_payload = 1400;
     net::TcpParams tcp;
     /// Shared frame-synthesis cache for every media flow this server paces:
     /// frames are synthesized once per (content, quality, index) and shared
