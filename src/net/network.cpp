@@ -310,33 +310,6 @@ Link* Network::find_link(NodeId from, NodeId to) {
   return nullptr;
 }
 
-void Network::partition(NodeId a, NodeId b) {
-  for (auto& link : nodes_.at(a)->out_links) {
-    if (link->to_node() == b) link->set_up(false);
-  }
-  for (auto& link : nodes_.at(b)->out_links) {
-    if (link->to_node() == a) link->set_up(false);
-  }
-}
-
-void Network::heal(NodeId a, NodeId b) {
-  for (auto& link : nodes_.at(a)->out_links) {
-    if (link->to_node() == b) link->set_up(true);
-  }
-  for (auto& link : nodes_.at(b)->out_links) {
-    if (link->to_node() == a) link->set_up(true);
-  }
-}
-
-void Network::isolate(NodeId node) {
-  for (auto& link : nodes_.at(node)->out_links) link->set_up(false);
-  for (auto& other : nodes_) {
-    for (auto& link : other->out_links) {
-      if (link->to_node() == node) link->set_up(false);
-    }
-  }
-}
-
 void Network::set_links_touching(NodeId node, std::uint32_t p, bool up) {
   Node& target = *nodes_.at(node);
   if (target.partition == p) {
@@ -346,15 +319,6 @@ void Network::set_links_touching(NodeId node, std::uint32_t p, bool up) {
     if (other->id == node || other->partition != p) continue;
     for (auto& link : other->out_links) {
       if (link->to_node() == node) link->set_up(up);
-    }
-  }
-}
-
-void Network::rejoin(NodeId node) {
-  for (auto& link : nodes_.at(node)->out_links) link->set_up(true);
-  for (auto& other : nodes_) {
-    for (auto& link : other->out_links) {
-      if (link->to_node() == node) link->set_up(true);
     }
   }
 }

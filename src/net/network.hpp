@@ -126,22 +126,14 @@ class Network {
   /// the payloads; the caller's vector is cleared but keeps its capacity.
   void send_train(Endpoint src, Endpoint dst, std::vector<Payload>& payloads);
 
-  /// Fault injection: take every direct link between `a` and `b` down
-  /// (both directions). Routing tables are untouched — packets keep being
-  /// forwarded into the downed link and are dropped there, exactly like a
-  /// severed cable. heal() brings the links back up.
-  void partition(NodeId a, NodeId b);
-  void heal(NodeId a, NodeId b);
-  /// Take every link touching `node` (both directions) down / back up —
-  /// a whole-node partition.
-  void isolate(NodeId node);
-  void rejoin(NodeId node);
-  /// Partition-sliced isolate/rejoin: flip only the links touching `node`
-  /// whose SOURCE endpoint is homed on partition `p` (a direction's mutable
-  /// state is owned by its source partition). Applying this on every
-  /// partition at one sim time reproduces isolate()/rejoin() exactly —
-  /// that is how FaultInjector runs node partitions on the parallel
-  /// executor without cross-thread link writes.
+  /// Fault injection: take the links touching `node` (both directions)
+  /// down or back up, but only those whose SOURCE endpoint is homed on
+  /// partition `p` (a direction's mutable state is owned by its source
+  /// partition). Applying this on every partition at one sim time flips
+  /// every link touching the node — a whole-node partition — without
+  /// cross-thread link writes; that is how FaultInjector runs node
+  /// partitions. Routing tables are untouched: packets keep being forwarded
+  /// into a downed link and are dropped there, exactly like a severed cable.
   void set_links_touching(NodeId node, std::uint32_t p, bool up);
 
   /// Partition 0's simulator (the only one in single-kernel mode).

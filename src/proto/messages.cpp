@@ -1,5 +1,12 @@
 #include "proto/messages.hpp"
 
+#include <array>
+#include <stdexcept>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+
 #include "net/wire.hpp"
 
 namespace hyms::proto {
@@ -9,229 +16,279 @@ using net::WireWriter;
 
 namespace {
 
-void put_strings(WireWriter& w, const std::vector<std::string>& v) {
-  w.u32(static_cast<std::uint32_t>(v.size()));
-  for (const auto& s : v) w.str(s);
-}
+/// Wire codec for a field's C++ type: `put`, `get`, and `kMinBytes`, the
+/// fewest bytes one value takes on the wire. Records (messages and list
+/// elements) use the primary template below, which walks their field list.
+template <typename T>
+struct Wire;
 
-/// Validate a wire-supplied element count against the bytes actually left
-/// in the frame (each element needs at least `min_bytes`); a hostile or
-/// corrupted count must fail the parse, not drive a giant allocation.
-std::uint32_t checked_count(const WireReader& r, std::uint32_t n,
-                            std::size_t min_bytes) {
-  if (static_cast<std::size_t>(n) * min_bytes > r.remaining()) {
-    throw std::out_of_range("element count exceeds frame size");
-  }
-  return n;
-}
-
-std::vector<std::string> get_strings(WireReader& r) {
-  std::vector<std::string> v(checked_count(r, r.u32(), 4));
-  for (auto& s : v) s = r.str();
-  return v;
-}
-
-void put_hits(WireWriter& w, const std::vector<SearchHit>& hits) {
-  w.u32(static_cast<std::uint32_t>(hits.size()));
-  for (const auto& hit : hits) {
-    w.str(hit.document);
-    w.str(hit.server);
-  }
-}
-
-std::vector<SearchHit> get_hits(WireReader& r) {
-  std::vector<SearchHit> hits(checked_count(r, r.u32(), 8));
-  for (auto& hit : hits) {
-    hit.document = r.str();
-    hit.server = r.str();
-  }
-  return hits;
-}
-
-struct Encoder {
-  WireWriter& w;
-
-  void operator()(const ConnectRequest& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kConnectRequest));
-    w.str(m.user);
-    w.str(m.credential);
-  }
-  void operator()(const ConnectReply& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kConnectReply));
-    w.u8(m.ok ? 1 : 0);
-    w.u8(m.needs_subscription ? 1 : 0);
-    w.str(m.reason);
-  }
-  void operator()(const SubscribeRequest& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kSubscribeRequest));
-    w.str(m.user);
-    w.str(m.credential);
-    w.str(m.real_name);
-    w.str(m.address);
-    w.str(m.telephone);
-    w.str(m.email);
-    w.str(m.contract);
-    w.u8(static_cast<std::uint8_t>(m.video_floor_level));
-    w.u8(static_cast<std::uint8_t>(m.audio_floor_level));
-  }
-  void operator()(const SubscribeReply& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kSubscribeReply));
-    w.u8(m.ok ? 1 : 0);
-    w.str(m.reason);
-  }
-  void operator()(const TopicListRequest&) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kTopicListRequest));
-  }
-  void operator()(const TopicListReply& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kTopicListReply));
-    put_strings(w, m.documents);
-  }
-  void operator()(const DocumentRequest& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kDocumentRequest));
-    w.str(m.document);
-    w.u8(static_cast<std::uint8_t>(m.video_floor_override));
-    w.u8(static_cast<std::uint8_t>(m.audio_floor_override));
-  }
-  void operator()(const DocumentReply& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kDocumentReply));
-    w.u8(m.ok ? 1 : 0);
-    w.str(m.reason);
-    w.str(m.markup);
-    w.u8(m.retryable_admission ? 1 : 0);
-    w.u8(m.admission);
-    w.u8(static_cast<std::uint8_t>(m.degraded_notches));
-    w.i64(m.retry_after_us);
-    w.u32(static_cast<std::uint32_t>(m.queue_position + 1));
-  }
-  void operator()(const StreamSetup& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kStreamSetup));
-    w.str(m.document);
-    w.u32(static_cast<std::uint32_t>(m.streams.size()));
-    for (const auto& s : m.streams) {
-      w.str(s.stream_id);
-      w.u16(s.rtp_port);
-    }
-    w.i64(m.time_window_us);
-    w.i64(m.resume_offset_us);
-  }
-  void operator()(const StreamSetupReply& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kStreamSetupReply));
-    w.u8(m.ok ? 1 : 0);
-    w.str(m.reason);
-    w.u32(static_cast<std::uint32_t>(m.streams.size()));
-    for (const auto& s : m.streams) {
-      w.str(s.stream_id);
-      w.u8(s.via_rtp ? 1 : 0);
-      w.u32(s.ssrc);
-      w.u8(s.payload_type);
-      w.u32(s.clock_rate);
-      w.u32(s.sender_rtcp_node);
-      w.u16(s.sender_rtcp_port);
-      w.u32(s.tcp_node);
-      w.u16(s.tcp_port);
-      w.u64(s.total_bytes);
-      w.i64(s.frame_interval_us);
-      w.i64(s.frame_count);
-      w.u8(static_cast<std::uint8_t>(s.initial_level));
+/// Integers travel big-endian at their own width, bools as one byte.
+/// `int` names no width, so an `int` field needs an adaptor.
+template <typename T>
+  requires std::is_integral_v<T>
+struct Wire<T> {
+  static_assert(!std::is_same_v<T, int>, "an int field needs an adaptor");
+  static constexpr std::size_t kMinBytes = sizeof(T);
+  static void put(WireWriter& w, T v) {
+    const auto bits = static_cast<std::uint64_t>(v);
+    for (std::size_t i = sizeof(T); i-- > 0;) {
+      w.u8(static_cast<std::uint8_t>(bits >> (8 * i)));
     }
   }
-  void operator()(const Pause&) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kPause));
-  }
-  void operator()(const Resume&) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kResume));
-  }
-  void operator()(const StopStream& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kStopStream));
-    w.str(m.stream_id);
-  }
-  void operator()(const SearchRequest& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kSearchRequest));
-    w.str(m.token);
-  }
-  void operator()(const SearchReply& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kSearchReply));
-    put_hits(w, m.hits);
-  }
-  void operator()(const PeerSearchRequest& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kPeerSearchRequest));
-    w.str(m.token);
-    w.u32(m.request_id);
-  }
-  void operator()(const PeerSearchReply& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kPeerSearchReply));
-    w.u32(m.request_id);
-    put_hits(w, m.hits);
-  }
-  void operator()(const Suspend&) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kSuspend));
-  }
-  void operator()(const SuspendAck& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kSuspendAck));
-    w.i64(m.keepalive_us);
-  }
-  void operator()(const SuspendExpired&) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kSuspendExpired));
-  }
-  void operator()(const ResumeSession& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kResumeSession));
-    w.str(m.user);
-  }
-  void operator()(const ResumeSessionReply& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kResumeSessionReply));
-    w.u8(m.ok ? 1 : 0);
-    w.str(m.reason);
-  }
-  void operator()(const Disconnect&) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kDisconnect));
-  }
-  void operator()(const MailSend& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kMailSend));
-    w.str(m.to);
-    w.str(m.subject);
-    w.str(m.body);
-    w.str(m.mime_type);
-  }
-  void operator()(const MailFetch& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kMailFetch));
-    w.i64(m.index);
-  }
-  void operator()(const MailList& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kMailList));
-    put_strings(w, m.subjects);
-  }
-  void operator()(const Annotate& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kAnnotate));
-    w.str(m.document);
-    w.str(m.remark);
-  }
-  void operator()(const AnnotationListRequest& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kAnnotationListRequest));
-    w.str(m.document);
-  }
-  void operator()(const AnnotationListReply& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kAnnotationListReply));
-    w.str(m.document);
-    put_strings(w, m.remarks);
-  }
-  void operator()(const DirectoryListRequest&) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kDirectoryListRequest));
-  }
-  void operator()(const DirectoryListReply& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kDirectoryListReply));
-    w.u32(static_cast<std::uint32_t>(m.servers.size()));
-    for (const auto& entry : m.servers) {
-      w.str(entry.name);
-      w.str(entry.description);
-      w.u32(entry.node);
-      w.u16(entry.port);
-    }
-  }
-  void operator()(const ErrorReply& m) const {
-    w.u8(static_cast<std::uint8_t>(MsgType::kError));
-    w.str(m.what);
+  static void get(WireReader& r, T& v) {
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) bits = (bits << 8) | r.u8();
+    v = static_cast<T>(bits);
   }
 };
+
+template <>
+struct Wire<std::string> {
+  static constexpr std::size_t kMinBytes = 4;  // the length word
+  static void put(WireWriter& w, const std::string& v) { w.str(v); }
+  static void get(WireReader& r, std::string& v) { v = r.str(); }
+};
+
+/// A list is a u32 count, then its elements.
+template <typename T>
+struct Wire<std::vector<T>> {
+  static constexpr std::size_t kMinBytes = 4;
+  static void put(WireWriter& w, const std::vector<T>& list) {
+    w.u32(static_cast<std::uint32_t>(list.size()));
+    for (const auto& element : list) Wire<T>::put(w, element);
+  }
+  static void get(WireReader& r, std::vector<T>& list) {
+    // Validate the wire-supplied count against the bytes actually left in
+    // the frame (each element needs at least its minimum size); a hostile
+    // or corrupted count must fail the parse, not drive a giant allocation.
+    const std::uint32_t n = r.u32();
+    if (static_cast<std::size_t>(n) * Wire<T>::kMinBytes > r.remaining()) {
+      throw std::out_of_range("element count exceeds frame size");
+    }
+    list.resize(n);
+    for (auto& element : list) Wire<T>::get(r, element);
+  }
+};
+
+// --- Adaptors: fields whose wire type differs from their C++ type -----------
+
+/// An `int` quality level travels as one byte.
+struct LevelByte {
+  static constexpr std::size_t kMinBytes = 1;
+  static void put(WireWriter& w, int v) { w.u8(static_cast<std::uint8_t>(v)); }
+  static void get(WireReader& r, int& v) { v = r.u8(); }
+};
+
+/// DocumentReply::queue_position (-1 when not queued) travels as
+/// u32(position + 1). A word above INT32_MAX names no position and fails
+/// the parse.
+struct QueuePosition {
+  static constexpr std::size_t kMinBytes = 4;
+  static void put(WireWriter& w, std::int32_t v) {
+    w.u32(static_cast<std::uint32_t>(v) + 1);
+  }
+  static void get(WireReader& r, std::int32_t& v) {
+    const std::uint32_t word = r.u32();
+    if (word > 0x7FFFFFFF) {
+      throw std::range_error("queue position out of range");
+    }
+    v = static_cast<std::int32_t>(word) - 1;
+  }
+};
+
+/// A field-list entry: a member and the codec it travels as.
+template <typename Codec, typename T, typename V>
+struct As {
+  V T::*member;
+  static constexpr std::size_t kMinBytes = Codec::kMinBytes;
+  void put(WireWriter& w, const T& m) const { Codec::put(w, m.*member); }
+  void get(WireReader& r, T& m) const { Codec::get(r, m.*member); }
+};
+
+template <typename Codec, typename T, typename V>
+constexpr As<Codec, T, V> as(V T::*member) {
+  return {member};
+}
+
+/// A bare member pointer in a field list travels as its C++ type.
+template <typename T, typename V>
+constexpr As<Wire<V>, T, V> entry(V T::*member) {
+  return {member};
+}
+template <typename Codec, typename T, typename V>
+constexpr As<Codec, T, V> entry(As<Codec, T, V> field) {
+  return field;
+}
+
+// --- Field lists: every record's fields in wire order -----------------------
+
+/// Messages without fields keep the empty list.
+template <typename T>
+constexpr std::tuple<> kFields{};
+
+template <>
+constexpr auto kFields<ConnectRequest> =
+    std::tuple{&ConnectRequest::user, &ConnectRequest::credential};
+template <>
+constexpr auto kFields<ConnectReply> =
+    std::tuple{&ConnectReply::ok, &ConnectReply::needs_subscription,
+               &ConnectReply::reason};
+template <>
+constexpr auto kFields<SubscribeRequest> = std::tuple{
+    &SubscribeRequest::user,
+    &SubscribeRequest::credential,
+    &SubscribeRequest::real_name,
+    &SubscribeRequest::address,
+    &SubscribeRequest::telephone,
+    &SubscribeRequest::email,
+    &SubscribeRequest::contract,
+    as<LevelByte>(&SubscribeRequest::video_floor_level),
+    as<LevelByte>(&SubscribeRequest::audio_floor_level)};
+template <>
+constexpr auto kFields<SubscribeReply> =
+    std::tuple{&SubscribeReply::ok, &SubscribeReply::reason};
+template <>
+constexpr auto kFields<TopicListReply> = std::tuple{&TopicListReply::documents};
+template <>
+constexpr auto kFields<DocumentRequest> =
+    std::tuple{&DocumentRequest::document,
+               &DocumentRequest::video_floor_override,
+               &DocumentRequest::audio_floor_override};
+template <>
+constexpr auto kFields<DocumentReply> = std::tuple{
+    &DocumentReply::ok,
+    &DocumentReply::reason,
+    &DocumentReply::markup,
+    &DocumentReply::retryable_admission,
+    &DocumentReply::admission,
+    &DocumentReply::degraded_notches,
+    &DocumentReply::retry_after_us,
+    as<QueuePosition>(&DocumentReply::queue_position)};
+template <>
+constexpr auto kFields<StreamSetup::StreamPort> =
+    std::tuple{&StreamSetup::StreamPort::stream_id,
+               &StreamSetup::StreamPort::rtp_port};
+template <>
+constexpr auto kFields<StreamSetup> =
+    std::tuple{&StreamSetup::document, &StreamSetup::streams,
+               &StreamSetup::time_window_us, &StreamSetup::resume_offset_us};
+template <>
+constexpr auto kFields<StreamSetupReply::StreamInfo> = std::tuple{
+    &StreamSetupReply::StreamInfo::stream_id,
+    &StreamSetupReply::StreamInfo::via_rtp,
+    &StreamSetupReply::StreamInfo::ssrc,
+    &StreamSetupReply::StreamInfo::payload_type,
+    &StreamSetupReply::StreamInfo::clock_rate,
+    &StreamSetupReply::StreamInfo::sender_rtcp_node,
+    &StreamSetupReply::StreamInfo::sender_rtcp_port,
+    &StreamSetupReply::StreamInfo::tcp_node,
+    &StreamSetupReply::StreamInfo::tcp_port,
+    &StreamSetupReply::StreamInfo::total_bytes,
+    &StreamSetupReply::StreamInfo::frame_interval_us,
+    &StreamSetupReply::StreamInfo::frame_count,
+    as<LevelByte>(&StreamSetupReply::StreamInfo::initial_level)};
+template <>
+constexpr auto kFields<StreamSetupReply> =
+    std::tuple{&StreamSetupReply::ok, &StreamSetupReply::reason,
+               &StreamSetupReply::streams};
+template <>
+constexpr auto kFields<StopStream> = std::tuple{&StopStream::stream_id};
+template <>
+constexpr auto kFields<SearchRequest> = std::tuple{&SearchRequest::token};
+template <>
+constexpr auto kFields<SearchHit> =
+    std::tuple{&SearchHit::document, &SearchHit::server};
+template <>
+constexpr auto kFields<SearchReply> = std::tuple{&SearchReply::hits};
+template <>
+constexpr auto kFields<PeerSearchRequest> =
+    std::tuple{&PeerSearchRequest::token, &PeerSearchRequest::request_id};
+template <>
+constexpr auto kFields<PeerSearchReply> =
+    std::tuple{&PeerSearchReply::request_id, &PeerSearchReply::hits};
+template <>
+constexpr auto kFields<SuspendAck> = std::tuple{&SuspendAck::keepalive_us};
+template <>
+constexpr auto kFields<ResumeSession> = std::tuple{&ResumeSession::user};
+template <>
+constexpr auto kFields<ResumeSessionReply> =
+    std::tuple{&ResumeSessionReply::ok, &ResumeSessionReply::reason};
+template <>
+constexpr auto kFields<MailSend> = std::tuple{
+    &MailSend::to, &MailSend::subject, &MailSend::body, &MailSend::mime_type};
+template <>
+constexpr auto kFields<MailFetch> = std::tuple{&MailFetch::index};
+template <>
+constexpr auto kFields<MailList> = std::tuple{&MailList::subjects};
+template <>
+constexpr auto kFields<Annotate> =
+    std::tuple{&Annotate::document, &Annotate::remark};
+template <>
+constexpr auto kFields<AnnotationListRequest> =
+    std::tuple{&AnnotationListRequest::document};
+template <>
+constexpr auto kFields<AnnotationListReply> =
+    std::tuple{&AnnotationListReply::document, &AnnotationListReply::remarks};
+template <>
+constexpr auto kFields<DirectoryEntry> =
+    std::tuple{&DirectoryEntry::name, &DirectoryEntry::description,
+               &DirectoryEntry::node, &DirectoryEntry::port};
+template <>
+constexpr auto kFields<DirectoryListReply> =
+    std::tuple{&DirectoryListReply::servers};
+template <>
+constexpr auto kFields<ErrorReply> = std::tuple{&ErrorReply::what};
+
+/// A record travels as its field list, in order, so its minimum size is
+/// the sum of its fields' minimum sizes.
+template <typename T>
+struct Wire {
+  static_assert(std::is_empty_v<T> ||
+                    std::tuple_size_v<decltype(kFields<T>)> > 0,
+                "a record with fields needs a field list");
+  static constexpr std::size_t kMinBytes = std::apply(
+      [](auto... f) {
+        return (std::size_t{0} + ... + decltype(entry(f))::kMinBytes);
+      },
+      kFields<T>);
+  static void put(WireWriter& w, const T& m) {
+    std::apply([&](auto... f) { (entry(f).put(w, m), ...); }, kFields<T>);
+  }
+  static void get(WireReader& r, T& m) {
+    std::apply([&](auto... f) { (entry(f).get(r, m), ...); }, kFields<T>);
+  }
+};
+
+template <typename T>
+Message decode_as(WireReader& r) {
+  T m;
+  Wire<T>::get(r, m);
+  return Message{std::move(m)};
+}
+
+using Decoder = Message (*)(WireReader&);
+
+/// One decoder per type byte (Message variant index + 1).
+template <std::size_t... I>
+constexpr std::array<Decoder, sizeof...(I)> decoders(
+    std::index_sequence<I...>) {
+  return {&decode_as<std::variant_alternative_t<I, Message>>...};
+}
+
+constexpr auto kDecoders =
+    decoders(std::make_index_sequence<std::variant_size_v<Message>>());
+
+/// message_name()'s table, in Message variant order.
+constexpr std::string_view kNames[] = {
+    "ConnectRequest", "ConnectReply", "SubscribeRequest", "SubscribeReply",
+    "TopicListRequest", "TopicListReply", "DocumentRequest", "DocumentReply",
+    "StreamSetup", "StreamSetupReply", "Pause", "Resume", "StopStream",
+    "SearchRequest", "SearchReply", "PeerSearchRequest", "PeerSearchReply",
+    "Suspend", "SuspendAck", "SuspendExpired", "ResumeSession",
+    "ResumeSessionReply", "Disconnect", "MailSend", "MailFetch", "MailList",
+    "Annotate", "AnnotationListRequest", "AnnotationListReply",
+    "DirectoryListRequest", "DirectoryListReply", "ErrorReply"};
+static_assert(std::size(kNames) == std::variant_size_v<Message>);
 
 }  // namespace
 
@@ -240,7 +297,10 @@ net::Payload encode(const Message& msg, const telemetry::TraceContext& ctx) {
   WireWriter w(out);
   w.u32(ctx.trace_id);
   w.u32(ctx.span_id);
-  std::visit(Encoder{w}, msg);
+  w.u8(static_cast<std::uint8_t>(msg.index() + 1));
+  std::visit(
+      [&w](const auto& m) { Wire<std::decay_t<decltype(m)>>::put(w, m); },
+      msg);
   return out;
 }
 
@@ -257,210 +317,15 @@ util::Result<Message> decode(const net::Payload& frame,
     envelope.trace_id = r.u32();
     envelope.span_id = r.u32();
     if (ctx != nullptr) *ctx = envelope;
-    const auto type = static_cast<MsgType>(r.u8());
-    switch (type) {
-      case MsgType::kConnectRequest: {
-        ConnectRequest m;
-        m.user = r.str();
-        m.credential = r.str();
-        return Message{m};
-      }
-      case MsgType::kConnectReply: {
-        ConnectReply m;
-        m.ok = r.u8() != 0;
-        m.needs_subscription = r.u8() != 0;
-        m.reason = r.str();
-        return Message{m};
-      }
-      case MsgType::kSubscribeRequest: {
-        SubscribeRequest m;
-        m.user = r.str();
-        m.credential = r.str();
-        m.real_name = r.str();
-        m.address = r.str();
-        m.telephone = r.str();
-        m.email = r.str();
-        m.contract = r.str();
-        m.video_floor_level = r.u8();
-        m.audio_floor_level = r.u8();
-        return Message{m};
-      }
-      case MsgType::kSubscribeReply: {
-        SubscribeReply m;
-        m.ok = r.u8() != 0;
-        m.reason = r.str();
-        return Message{m};
-      }
-      case MsgType::kTopicListRequest:
-        return Message{TopicListRequest{}};
-      case MsgType::kTopicListReply: {
-        TopicListReply m;
-        m.documents = get_strings(r);
-        return Message{m};
-      }
-      case MsgType::kDocumentRequest: {
-        DocumentRequest m;
-        m.document = r.str();
-        m.video_floor_override = static_cast<std::int8_t>(r.u8());
-        m.audio_floor_override = static_cast<std::int8_t>(r.u8());
-        return Message{m};
-      }
-      case MsgType::kDocumentReply: {
-        DocumentReply m;
-        m.ok = r.u8() != 0;
-        m.reason = r.str();
-        m.markup = r.str();
-        m.retryable_admission = r.u8() != 0;
-        m.admission = r.u8();
-        m.degraded_notches = static_cast<std::int8_t>(r.u8());
-        m.retry_after_us = r.i64();
-        m.queue_position = static_cast<std::int32_t>(r.u32()) - 1;
-        return Message{m};
-      }
-      case MsgType::kStreamSetup: {
-        StreamSetup m;
-        m.document = r.str();
-        m.streams.resize(checked_count(r, r.u32(), 6));
-        for (auto& s : m.streams) {
-          s.stream_id = r.str();
-          s.rtp_port = r.u16();
-        }
-        m.time_window_us = r.i64();
-        m.resume_offset_us = r.i64();
-        return Message{m};
-      }
-      case MsgType::kStreamSetupReply: {
-        StreamSetupReply m;
-        m.ok = r.u8() != 0;
-        m.reason = r.str();
-        m.streams.resize(checked_count(r, r.u32(), 32));
-        for (auto& s : m.streams) {
-          s.stream_id = r.str();
-          s.via_rtp = r.u8() != 0;
-          s.ssrc = r.u32();
-          s.payload_type = r.u8();
-          s.clock_rate = r.u32();
-          s.sender_rtcp_node = r.u32();
-          s.sender_rtcp_port = r.u16();
-          s.tcp_node = r.u32();
-          s.tcp_port = r.u16();
-          s.total_bytes = r.u64();
-          s.frame_interval_us = r.i64();
-          s.frame_count = r.i64();
-          s.initial_level = r.u8();
-        }
-        return Message{m};
-      }
-      case MsgType::kPause:
-        return Message{Pause{}};
-      case MsgType::kResume:
-        return Message{Resume{}};
-      case MsgType::kStopStream: {
-        StopStream m;
-        m.stream_id = r.str();
-        return Message{m};
-      }
-      case MsgType::kSearchRequest: {
-        SearchRequest m;
-        m.token = r.str();
-        return Message{m};
-      }
-      case MsgType::kSearchReply: {
-        SearchReply m;
-        m.hits = get_hits(r);
-        return Message{m};
-      }
-      case MsgType::kPeerSearchRequest: {
-        PeerSearchRequest m;
-        m.token = r.str();
-        m.request_id = r.u32();
-        return Message{m};
-      }
-      case MsgType::kPeerSearchReply: {
-        PeerSearchReply m;
-        m.request_id = r.u32();
-        m.hits = get_hits(r);
-        return Message{m};
-      }
-      case MsgType::kSuspend:
-        return Message{Suspend{}};
-      case MsgType::kSuspendAck: {
-        SuspendAck m;
-        m.keepalive_us = r.i64();
-        return Message{m};
-      }
-      case MsgType::kSuspendExpired:
-        return Message{SuspendExpired{}};
-      case MsgType::kResumeSession: {
-        ResumeSession m;
-        m.user = r.str();
-        return Message{m};
-      }
-      case MsgType::kResumeSessionReply: {
-        ResumeSessionReply m;
-        m.ok = r.u8() != 0;
-        m.reason = r.str();
-        return Message{m};
-      }
-      case MsgType::kDisconnect:
-        return Message{Disconnect{}};
-      case MsgType::kMailSend: {
-        MailSend m;
-        m.to = r.str();
-        m.subject = r.str();
-        m.body = r.str();
-        m.mime_type = r.str();
-        return Message{m};
-      }
-      case MsgType::kMailFetch: {
-        MailFetch m;
-        m.index = r.i64();
-        return Message{m};
-      }
-      case MsgType::kMailList: {
-        MailList m;
-        m.subjects = get_strings(r);
-        return Message{m};
-      }
-      case MsgType::kAnnotate: {
-        Annotate m;
-        m.document = r.str();
-        m.remark = r.str();
-        return Message{m};
-      }
-      case MsgType::kAnnotationListRequest: {
-        AnnotationListRequest m;
-        m.document = r.str();
-        return Message{m};
-      }
-      case MsgType::kAnnotationListReply: {
-        AnnotationListReply m;
-        m.document = r.str();
-        m.remarks = get_strings(r);
-        return Message{m};
-      }
-      case MsgType::kDirectoryListRequest:
-        return Message{DirectoryListRequest{}};
-      case MsgType::kDirectoryListReply: {
-        DirectoryListReply m;
-        m.servers.resize(checked_count(r, r.u32(), 14));
-        for (auto& entry : m.servers) {
-          entry.name = r.str();
-          entry.description = r.str();
-          entry.node = r.u32();
-          entry.port = r.u16();
-        }
-        return Message{m};
-      }
-      case MsgType::kError: {
-        ErrorReply m;
-        m.what = r.str();
-        return Message{m};
-      }
+    const std::uint8_t type = r.u8();
+    if (type == 0 || type > kDecoders.size()) {
+      return util::parse_error("unknown protocol message type");
     }
-    return util::parse_error("unknown protocol message type");
+    return kDecoders[type - 1](r);
   } catch (const std::out_of_range&) {
     return util::parse_error("truncated protocol frame");
+  } catch (const std::range_error& e) {
+    return util::parse_error(e.what());
   }
 }
 
@@ -469,41 +334,7 @@ util::Result<Message> decode(const net::Payload& frame) {
 }
 
 std::string message_name(const Message& msg) {
-  struct Namer {
-    std::string operator()(const ConnectRequest&) { return "ConnectRequest"; }
-    std::string operator()(const ConnectReply&) { return "ConnectReply"; }
-    std::string operator()(const SubscribeRequest&) { return "SubscribeRequest"; }
-    std::string operator()(const SubscribeReply&) { return "SubscribeReply"; }
-    std::string operator()(const TopicListRequest&) { return "TopicListRequest"; }
-    std::string operator()(const TopicListReply&) { return "TopicListReply"; }
-    std::string operator()(const DocumentRequest&) { return "DocumentRequest"; }
-    std::string operator()(const DocumentReply&) { return "DocumentReply"; }
-    std::string operator()(const StreamSetup&) { return "StreamSetup"; }
-    std::string operator()(const StreamSetupReply&) { return "StreamSetupReply"; }
-    std::string operator()(const Pause&) { return "Pause"; }
-    std::string operator()(const Resume&) { return "Resume"; }
-    std::string operator()(const StopStream&) { return "StopStream"; }
-    std::string operator()(const SearchRequest&) { return "SearchRequest"; }
-    std::string operator()(const SearchReply&) { return "SearchReply"; }
-    std::string operator()(const PeerSearchRequest&) { return "PeerSearchRequest"; }
-    std::string operator()(const PeerSearchReply&) { return "PeerSearchReply"; }
-    std::string operator()(const Suspend&) { return "Suspend"; }
-    std::string operator()(const SuspendAck&) { return "SuspendAck"; }
-    std::string operator()(const SuspendExpired&) { return "SuspendExpired"; }
-    std::string operator()(const ResumeSession&) { return "ResumeSession"; }
-    std::string operator()(const ResumeSessionReply&) { return "ResumeSessionReply"; }
-    std::string operator()(const Disconnect&) { return "Disconnect"; }
-    std::string operator()(const MailSend&) { return "MailSend"; }
-    std::string operator()(const MailFetch&) { return "MailFetch"; }
-    std::string operator()(const MailList&) { return "MailList"; }
-    std::string operator()(const Annotate&) { return "Annotate"; }
-    std::string operator()(const AnnotationListRequest&) { return "AnnotationListRequest"; }
-    std::string operator()(const AnnotationListReply&) { return "AnnotationListReply"; }
-    std::string operator()(const DirectoryListRequest&) { return "DirectoryListRequest"; }
-    std::string operator()(const DirectoryListReply&) { return "DirectoryListReply"; }
-    std::string operator()(const ErrorReply&) { return "ErrorReply"; }
-  };
-  return std::visit(Namer{}, msg);
+  return std::string(kNames[msg.index()]);
 }
 
 }  // namespace hyms::proto

@@ -13,43 +13,6 @@
 
 namespace hyms::proto {
 
-/// Application protocol message types (§5 / Fig. 4). Carried as typed frames
-/// over the client<->server MessageChannel (TCP-like control connection).
-enum class MsgType : std::uint8_t {
-  kConnectRequest = 1,
-  kConnectReply,
-  kSubscribeRequest,
-  kSubscribeReply,
-  kTopicListRequest,
-  kTopicListReply,
-  kDocumentRequest,
-  kDocumentReply,
-  kStreamSetup,
-  kStreamSetupReply,
-  kPause,
-  kResume,
-  kStopStream,
-  kSearchRequest,
-  kSearchReply,
-  kPeerSearchRequest,
-  kPeerSearchReply,
-  kSuspend,
-  kSuspendAck,
-  kSuspendExpired,
-  kResumeSession,
-  kResumeSessionReply,
-  kDisconnect,
-  kMailSend,
-  kMailFetch,
-  kMailList,
-  kAnnotate,
-  kAnnotationListRequest,
-  kAnnotationListReply,
-  kDirectoryListRequest,
-  kDirectoryListReply,
-  kError,
-};
-
 struct ConnectRequest {
   std::string user;
   std::string credential;
@@ -256,6 +219,10 @@ struct ErrorReply {
   std::string what;
 };
 
+/// Application protocol messages (§5 / Fig. 4), carried as typed frames
+/// over the client<->server MessageChannel (TCP-like control connection).
+/// A frame's type byte is its message's position in this list plus one, so
+/// new messages are appended, never reordered.
 using Message = std::variant<
     ConnectRequest, ConnectReply, SubscribeRequest, SubscribeReply,
     TopicListRequest, TopicListReply, DocumentRequest, DocumentReply,

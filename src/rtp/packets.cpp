@@ -166,57 +166,59 @@ std::optional<RtcpCompound> parse_rtcp(const net::Payload& wire) {
       const std::uint16_t length_words = r.u16();
       const std::size_t body_bytes = static_cast<std::size_t>(length_words) * 4;
       if (r.remaining() < body_bytes) return std::nullopt;
-      const std::size_t body_end = r.remaining() - body_bytes;
+      // Each packet's body is read through a reader bounded to its declared
+      // length: a count that overruns the length fails the parse instead of
+      // reading the next packet's bytes. Padding within the length is left
+      // unread.
+      WireReader body(r.cursor(), body_bytes);
+      r.skip(body_bytes);
 
       switch (static_cast<RtcpType>(type)) {
         case RtcpType::kSenderReport: {
           SenderReport sr;
-          sr.ssrc = r.u32();
-          sr.ntp_timestamp = r.u64();
-          sr.rtp_timestamp = r.u32();
-          sr.packet_count = r.u32();
-          sr.octet_count = r.u32();
+          sr.ssrc = body.u32();
+          sr.ntp_timestamp = body.u64();
+          sr.rtp_timestamp = body.u32();
+          sr.packet_count = body.u32();
+          sr.octet_count = body.u32();
           for (int i = 0; i < count; ++i) {
-            sr.reports.push_back(read_report_block(r));
+            sr.reports.push_back(read_report_block(body));
           }
           compound.sender_reports.push_back(std::move(sr));
           break;
         }
         case RtcpType::kReceiverReport: {
           ReceiverReport rr;
-          rr.ssrc = r.u32();
+          rr.ssrc = body.u32();
           for (int i = 0; i < count; ++i) {
-            rr.reports.push_back(read_report_block(r));
+            rr.reports.push_back(read_report_block(body));
           }
           compound.receiver_reports.push_back(std::move(rr));
           break;
         }
         case RtcpType::kBye: {
           Bye bye;
-          bye.ssrc = r.u32();
-          bye.reason = r.str();
+          bye.ssrc = body.u32();
+          bye.reason = body.str();
           compound.byes.push_back(std::move(bye));
           break;
         }
         case RtcpType::kApp: {
           AppQos app;
-          app.ssrc = r.u32();
-          r.skip(4);  // name "QOSM"
-          const std::uint16_t n = r.u16();
+          app.ssrc = body.u32();
+          body.skip(4);  // name "QOSM"
+          const std::uint16_t n = body.u16();
           for (int i = 0; i < n; ++i) {
-            std::string key = r.str();
-            const double value = r.f64();
+            std::string key = body.str();
+            const double value = body.f64();
             app.metrics.emplace_back(std::move(key), value);
           }
           compound.app_qos.push_back(std::move(app));
           break;
         }
         default:
-          r.skip(body_bytes);
-          break;
+          break;  // SDES and unknown types: the body was skipped above
       }
-      // Skip any padding the writer added within this packet's length field.
-      while (r.remaining() > body_end) r.skip(1);
     }
   } catch (const std::out_of_range&) {
     return std::nullopt;

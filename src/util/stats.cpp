@@ -1,7 +1,7 @@
 #include "util/stats.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace hyms::util {
 
@@ -73,47 +73,6 @@ double Sampler::min() const {
 double Sampler::max() const {
   if (samples_.empty()) return 0.0;
   return *std::max_element(samples_.begin(), samples_.end());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), bucket_width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  if (buckets == 0 || hi <= lo) {
-    throw std::invalid_argument("Histogram: need hi > lo and buckets > 0");
-  }
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / bucket_width_);
-  idx = std::min(idx, counts_.size() - 1);
-  ++counts_[idx];
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + bucket_width_ * static_cast<double>(i);
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::int64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar_len = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    out += std::to_string(bucket_lo(i)) + "\t" + std::string(bar_len, '#') +
-           " " + std::to_string(counts_[i]) + "\n";
-  }
-  return out;
 }
 
 }  // namespace hyms::util

@@ -1,9 +1,6 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace hyms::util {
@@ -61,75 +58,6 @@ class Sampler {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
-};
-
-/// Fixed-width bucket histogram (for distributions in EXPERIMENTS.md).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::int64_t bucket(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
-  [[nodiscard]] std::int64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::int64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::int64_t total() const { return total_; }
-  [[nodiscard]] std::string ascii(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bucket_width_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t underflow_ = 0;
-  std::int64_t overflow_ = 0;
-  std::int64_t total_ = 0;
-};
-
-/// Named counters, e.g. frames_dropped / frames_duplicated / rtcp_reports.
-/// Counters are bumped on hot paths, so the storage is a flat vector kept
-/// sorted by name: lookups are a cache-friendly binary search over
-/// contiguous pairs instead of a node-based tree walk, and a counter set
-/// stabilizes after the first few increments (inserts stop happening).
-class CounterSet {
- public:
-  void inc(std::string_view name, std::int64_t by = 1) {
-    const auto it = lower_bound(name);
-    if (it != counters_.end() && it->first == name) {
-      it->second += by;
-    } else {
-      counters_.emplace(it, std::string(name), by);
-    }
-  }
-  [[nodiscard]] std::int64_t get(std::string_view name) const {
-    const auto it = lower_bound(name);
-    return it != counters_.end() && it->first == name ? it->second : 0;
-  }
-  /// All counters, sorted by name (the order the old map iterated in).
-  [[nodiscard]] const std::vector<std::pair<std::string, std::int64_t>>& all()
-      const {
-    return counters_;
-  }
-  void reset() { counters_.clear(); }
-
- private:
-  using Entry = std::pair<std::string, std::int64_t>;
-
-  [[nodiscard]] std::vector<Entry>::iterator lower_bound(
-      std::string_view name) {
-    return std::lower_bound(
-        counters_.begin(), counters_.end(), name,
-        [](const Entry& e, std::string_view n) { return e.first < n; });
-  }
-  [[nodiscard]] std::vector<Entry>::const_iterator lower_bound(
-      std::string_view name) const {
-    return std::lower_bound(
-        counters_.begin(), counters_.end(), name,
-        [](const Entry& e, std::string_view n) { return e.first < n; });
-  }
-
-  std::vector<Entry> counters_;
 };
 
 }  // namespace hyms::util

@@ -95,34 +95,6 @@ TEST_F(LinkFaultFixture, OverrideStackIsLifo) {
   EXPECT_DOUBLE_EQ(ab->params().bandwidth_bps, base);
 }
 
-TEST(NetworkPartitionTest, PartitionAndHealToggleBothDirections) {
-  sim::Simulator sim(3);
-  net::Network net(sim);
-  const auto a = net.add_host("a");
-  const auto r = net.add_router("r");
-  const auto b = net.add_host("b");
-  net.connect(a, r, net::LinkParams{});
-  net.connect(r, b, net::LinkParams{});
-
-  net.partition(a, r);
-  EXPECT_FALSE(net.find_link(a, r)->up());
-  EXPECT_FALSE(net.find_link(r, a)->up());
-  EXPECT_TRUE(net.find_link(r, b)->up());
-  net.heal(a, r);
-  EXPECT_TRUE(net.find_link(a, r)->up());
-  EXPECT_TRUE(net.find_link(r, a)->up());
-
-  // Whole-node isolation downs every link touching the node.
-  net.isolate(r);
-  EXPECT_FALSE(net.find_link(a, r)->up());
-  EXPECT_FALSE(net.find_link(r, a)->up());
-  EXPECT_FALSE(net.find_link(r, b)->up());
-  EXPECT_FALSE(net.find_link(b, r)->up());
-  net.rejoin(r);
-  EXPECT_TRUE(net.find_link(r, b)->up());
-  EXPECT_TRUE(net.find_link(b, r)->up());
-}
-
 // --- FaultPlan generator ----------------------------------------------------------
 
 std::vector<std::pair<net::NodeId, net::NodeId>> some_links() {
@@ -203,23 +175,44 @@ TEST(FaultInjectorTest, AppliesScriptedPlan) {
   collapse.at = Time::sec(4);
   collapse.kind = net::FaultKind::kBandwidthRestore;
   plan.add(collapse);
+  net::FaultEvent isolate;
+  isolate.at = Time::sec(5);
+  isolate.kind = net::FaultKind::kPartitionNode;
+  isolate.a = r;
+  plan.add(isolate);
+  isolate.at = Time::sec(6);
+  isolate.kind = net::FaultKind::kHealNode;
+  plan.add(isolate);
   plan.normalize();
 
   net::FaultInjector injector(net);
   injector.arm(plan);
 
+  // Up state of a->r, r->a, r->b and b->r.
+  using Up = std::vector<bool>;
+  const auto up = [&] {
+    return Up{net.find_link(a, r)->up(), net.find_link(r, a)->up(),
+              net.find_link(r, b)->up(), net.find_link(b, r)->up()};
+  };
   const double base = net.find_link(r, b)->params().bandwidth_bps;
   sim.run_until(Time::msec(1500));
-  EXPECT_FALSE(net.find_link(a, r)->up());
+  EXPECT_EQ(up(), (Up{false, false, true, true}))
+      << "the a-r flap downs both directions and leaves r-b up";
   sim.run_until(Time::msec(2500));
-  EXPECT_TRUE(net.find_link(a, r)->up());
+  EXPECT_EQ(up(), (Up{true, true, true, true}));
   sim.run_until(Time::msec(3500));
   EXPECT_DOUBLE_EQ(net.find_link(r, b)->params().bandwidth_bps, base * 0.25);
   sim.run_until(Time::msec(4500));
   EXPECT_DOUBLE_EQ(net.find_link(r, b)->params().bandwidth_bps, base);
-  EXPECT_EQ(injector.stats().injected, 4);
+  // Whole-node partition downs every link touching r, both directions.
+  sim.run_until(Time::msec(5500));
+  EXPECT_EQ(up(), (Up{false, false, false, false}));
+  sim.run_until(Time::msec(6500));
+  EXPECT_EQ(up(), (Up{true, true, true, true}));
+  EXPECT_EQ(injector.stats().injected, 6);
   EXPECT_EQ(injector.stats().link_flaps, 1);
   EXPECT_EQ(injector.stats().bandwidth_collapses, 1);
+  EXPECT_EQ(injector.stats().partitions, 1);
 }
 
 // --- Server crash / restart -------------------------------------------------------

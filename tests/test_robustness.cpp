@@ -13,6 +13,7 @@
 #include "net/network.hpp"
 #include "net/wire.hpp"
 #include "proto/messages.hpp"
+#include "rtp/packets.hpp"
 #include "rtp/session.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -94,6 +95,124 @@ TEST_P(ProtoFuzz, TruncatedValidFramesNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtoFuzz,
                          ::testing::Range<std::uint64_t>(1, 5));
+
+// --- RTP/RTCP parser fuzzing -----------------------------------------------------------
+
+/// Property: the RTP and RTCP parsers never crash or read past the packet
+/// (the ASan build runs these), and they reject a truncation that cuts an
+/// RTP header or a declared RTCP packet body short.
+class RtpFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+net::Payload valid_rtp(util::Rng& rng) {
+  rtp::RtpPacket pkt;
+  pkt.header.payload_type = 96;
+  pkt.header.marker = true;
+  pkt.header.sequence = static_cast<std::uint16_t>(rng.below(1 << 16));
+  pkt.header.timestamp = static_cast<std::uint32_t>(rng.below(1ULL << 32));
+  pkt.header.ssrc = static_cast<std::uint32_t>(rng.below(1ULL << 32));
+  pkt.frag_index = 1;
+  pkt.frag_count = 3;
+  pkt.payload.assign(1 + rng.below(40), 0xAB);
+  return rtp::serialize_rtp(pkt);
+}
+
+/// An SR+RR+BYE+APP compound; the random reason and key lengths vary the
+/// BYE and APP padding.
+net::Payload valid_compound(util::Rng& rng) {
+  rtp::ReportBlock block{22, 64, -5, 0x10002, 333, 444, 555};
+  rtp::RtcpCompound compound;
+  compound.sender_reports.push_back(rtp::SenderReport{1, 2, 3, 4, 5, {block}});
+  compound.receiver_reports.push_back(rtp::ReceiverReport{6, {block, block}});
+  compound.byes.push_back(rtp::Bye{8, std::string(rng.below(8), 'r')});
+  compound.app_qos.push_back(rtp::AppQos{
+      9, {{std::string(1 + rng.below(8), 'k'), 120.5}, {"jitter_ms", 3.0}}});
+  return rtp::serialize_rtcp(compound);
+}
+
+void flip_bytes(util::Rng& rng, net::Payload& wire) {
+  const auto flips = 1 + rng.below(4);
+  for (std::uint64_t i = 0; i < flips; ++i) {
+    wire[rng.below(wire.size())] ^=
+        static_cast<std::uint8_t>(1 + rng.below(255));
+  }
+}
+
+TEST_P(RtpFuzz, RandomBytesNeverCrash) {
+  util::Rng rng(GetParam());
+  for (int round = 0; round < 1000; ++round) {
+    net::Payload wire(rng.below(120));
+    for (auto& byte : wire) byte = static_cast<std::uint8_t>(rng.below(256));
+    if (round % 2 == 1 && wire.size() >= 4) {
+      // A version-2 RTCP header of a known type with a length that fits,
+      // so random input gets past the header checks into packet bodies.
+      wire[0] = static_cast<std::uint8_t>(0x80 | rng.below(32));
+      wire[1] = static_cast<std::uint8_t>(200 + rng.below(5));
+      wire[2] = 0;
+      wire[3] = static_cast<std::uint8_t>(rng.below(wire.size() / 4));
+    }
+    auto rtp_result = rtp::parse_rtp(wire);
+    auto rtcp_result = rtp::parse_rtcp(wire);
+    (void)rtp_result;
+    (void)rtcp_result;
+  }
+}
+
+TEST_P(RtpFuzz, FlippedValidPacketsNeverCrash) {
+  util::Rng rng(GetParam() * 31 + 7);
+  const auto rtp_wire = valid_rtp(rng);
+  const auto rtcp_wire = valid_compound(rng);
+  ASSERT_TRUE(rtp::parse_rtp(rtp_wire).has_value());
+  ASSERT_TRUE(rtp::parse_rtcp(rtcp_wire).has_value());
+  for (int round = 0; round < 500; ++round) {
+    auto rtp_flipped = rtp_wire;
+    flip_bytes(rng, rtp_flipped);
+    auto rtp_result = rtp::parse_rtp(rtp_flipped);
+    auto rtcp_flipped = rtcp_wire;
+    flip_bytes(rng, rtcp_flipped);
+    auto rtcp_result = rtp::parse_rtcp(rtcp_flipped);
+    (void)rtp_result;
+    (void)rtcp_result;
+  }
+}
+
+TEST_P(RtpFuzz, TruncatedRtpHeaderRejected) {
+  util::Rng rng(GetParam() + 99);
+  const auto full = valid_rtp(rng);
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    const net::Payload wire(full.begin(),
+                            full.begin() + static_cast<std::ptrdiff_t>(cut));
+    const auto parsed = rtp::parse_rtp(wire);
+    if (cut < rtp::kRtpHeaderSize + 4) {
+      EXPECT_FALSE(parsed.has_value()) << "truncated to " << cut << " bytes";
+    }
+  }
+}
+
+TEST_P(RtpFuzz, TruncatedRtcpBodyRejected) {
+  util::Rng rng(GetParam() + 199);
+  const auto full = valid_compound(rng);
+  // Each packet's [start, end) from its header's length word.
+  std::vector<std::pair<std::size_t, std::size_t>> packets;
+  for (std::size_t at = 0; at < full.size();) {
+    const std::size_t words = (full[at + 2] << 8) | full[at + 3];
+    packets.emplace_back(at, at + 4 + 4 * words);
+    at = packets.back().second;
+  }
+  ASSERT_EQ(packets.size(), 4u);
+  ASSERT_EQ(packets.back().second, full.size());
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    const net::Payload wire(full.begin(),
+                            full.begin() + static_cast<std::ptrdiff_t>(cut));
+    const auto parsed = rtp::parse_rtcp(wire);
+    for (const auto& [start, end] : packets) {
+      if (cut >= start + 4 && cut < end) {
+        EXPECT_FALSE(parsed.has_value()) << "truncated to " << cut << " bytes";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RtpFuzz, ::testing::Range<std::uint64_t>(1, 5));
 
 // --- frame payload verifier fuzzing ----------------------------------------------------
 

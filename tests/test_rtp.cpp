@@ -2,6 +2,7 @@
 
 #include "net/loss.hpp"
 #include "net/network.hpp"
+#include "net/wire.hpp"
 #include "rtp/packets.hpp"
 #include "rtp/session.hpp"
 #include "sim/simulator.hpp"
@@ -165,6 +166,20 @@ TEST(RtcpTest, TruncatedRejected) {
   compound.sender_reports.push_back(rtp::SenderReport{1, 2, 3, 4, 5, {}});
   auto wire = rtp::serialize_rtcp(compound);
   wire.resize(wire.size() - 3);
+  EXPECT_FALSE(rtp::parse_rtcp(wire).has_value());
+}
+
+TEST(RtcpTest, ReportCountBeyondDeclaredLengthRejected) {
+  // An RR whose count promises one report block but whose length covers
+  // only the reporter SSRC, followed by 24 bytes that are not an RTCP
+  // packet: the block must not be read out of those bytes.
+  net::Payload wire;
+  net::WireWriter w(wire);
+  w.u8(0x81);  // V=2, count 1
+  w.u8(static_cast<std::uint8_t>(rtp::RtcpType::kReceiverReport));
+  w.u16(1);  // length: the SSRC word only
+  w.u32(7);
+  for (int i = 0; i < 24; ++i) w.u8(0);
   EXPECT_FALSE(rtp::parse_rtcp(wire).has_value());
 }
 

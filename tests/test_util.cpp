@@ -222,42 +222,6 @@ TEST(SamplerTest, EmptySamplerIsSafe) {
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
-// --- Histogram --------------------------------------------------------------------
-
-TEST(HistogramTest, BucketsAndOverflow) {
-  util::Histogram h(0, 10, 10);
-  h.add(-1);
-  h.add(0);
-  h.add(5.5);
-  h.add(9.999);
-  h.add(10);
-  h.add(42);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 2);
-  EXPECT_EQ(h.bucket(0), 1);
-  EXPECT_EQ(h.bucket(5), 1);
-  EXPECT_EQ(h.bucket(9), 1);
-  EXPECT_EQ(h.total(), 6);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(5), 5.0);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(util::Histogram(5, 5, 10), std::invalid_argument);
-  EXPECT_THROW(util::Histogram(0, 10, 0), std::invalid_argument);
-}
-
-// --- CounterSet --------------------------------------------------------------------
-
-TEST(CounterSetTest, IncrementAndQuery) {
-  util::CounterSet c;
-  c.inc("drops");
-  c.inc("drops", 4);
-  EXPECT_EQ(c.get("drops"), 5);
-  EXPECT_EQ(c.get("missing"), 0);
-  c.reset();
-  EXPECT_EQ(c.get("drops"), 0);
-}
-
 // --- strings -----------------------------------------------------------------------
 
 TEST(StringsTest, CaseConversion) {
