@@ -118,11 +118,13 @@ void BM_MediaBufferPushPop(benchmark::State& state) {
 BENCHMARK(BM_MediaBufferPushPop)->Arg(1024);
 
 void BM_RtpSerializeParse(benchmark::State& state) {
+  const std::vector<std::uint8_t> body(static_cast<std::size_t>(state.range(0)),
+                                       0xAB);
   rtp::RtpPacket pkt;
   pkt.header.sequence = 1234;
   pkt.header.timestamp = 567890;
   pkt.header.ssrc = 42;
-  pkt.payload.assign(static_cast<std::size_t>(state.range(0)), 0xAB);
+  pkt.payload = body;
   for (auto _ : state) {
     auto wire = rtp::serialize_rtp(pkt);
     auto parsed = rtp::parse_rtp(wire);
@@ -454,7 +456,11 @@ BENCHMARK(BM_SessionLifecycleQoeOn);
 
 int main(int argc, char** argv) {
   // `--json` mirrors the run into BENCH_micro.json via google-benchmark's
-  // JSON reporter; all other flags pass through untouched.
+  // JSON reporter, over 5 repetitions: the file keeps every repetition plus
+  // each benchmark's mean, median, stddev and CV, which the regression
+  // gates compare (medians) and report (CV). The console shows the
+  // aggregates. These go in ahead of the caller's flags, so an explicit
+  // --benchmark_repetitions still wins; all other flags pass through.
   std::vector<char*> args(argv, argv + argc);
   bool json = false;
   for (auto it = args.begin(); it != args.end();) {
@@ -467,9 +473,11 @@ int main(int argc, char** argv) {
   }
   std::string out_flag = "--benchmark_out=BENCH_micro.json";
   std::string out_fmt_flag = "--benchmark_out_format=json";
+  std::string reps_flag = "--benchmark_repetitions=5";
+  std::string display_flag = "--benchmark_display_aggregates_only=true";
   if (json) {
-    args.push_back(out_flag.data());
-    args.push_back(out_fmt_flag.data());
+    args.insert(args.begin() + 1, {out_flag.data(), out_fmt_flag.data(),
+                                   reps_flag.data(), display_flag.data()});
   }
   int argc2 = static_cast<int>(args.size());
   benchmark::Initialize(&argc2, args.data());

@@ -56,7 +56,7 @@ TransportResult run_rtp(double loss, std::uint64_t seed) {
   rtp::RtpReceiver::Params rp;
   rp.clock.clock_rate = 90'000;
   rtp::RtpReceiver receiver(net, b, 0, net::Endpoint{}, rp);
-  receiver.set_on_frame([&](rtp::ReceivedFrame&& frame) {
+  receiver.set_on_frame([&](const rtp::ReceivedFrame& frame) {
     ++result.delivered;
     const Time due = deadline(static_cast<int>(frame.media_time.us() /
                                                kInterval.us()));

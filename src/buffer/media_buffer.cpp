@@ -111,14 +111,7 @@ std::size_t MediaBuffer::drop_before(std::int64_t first_kept) {
 }
 
 void MediaBuffer::clear() {
-  if (size_ > 0) {
-    for (std::int64_t k = min_index_; k <= max_index_; ++k) {
-      const std::size_t slot = slot_of(k);
-      if (slot_index_[slot] != k) continue;
-      ring_[slot].payload.clear();
-      slot_index_[slot] = kEmptySlot;
-    }
-  }
+  std::fill(slot_index_.begin(), slot_index_.end(), kEmptySlot);
   size_ = 0;
   occupancy_ = Time::zero();
 }

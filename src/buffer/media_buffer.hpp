@@ -6,18 +6,18 @@
 #include <string>
 #include <vector>
 
-#include "util/stats.hpp"
 #include "util/time.hpp"
 
 namespace hyms::buffer {
 
-/// A frame parked in a client-side media buffer awaiting playout.
+/// A frame parked in a client-side media buffer awaiting playout. The
+/// buffer holds a frame's playout metadata, not its bytes: the client checks
+/// the bytes on arrival, and playout only needs to know the frame is there.
 struct BufferedFrame {
   std::int64_t index = 0;   // content frame index within the stream
   Time media_time;           // stream-relative presentation time
   Time duration;
   Time arrival;              // when the reassembled frame reached the buffer
-  std::vector<std::uint8_t> payload;
 };
 
 /// One thread of the paper's "multiple thread queue" buffering layer (§4):
@@ -84,7 +84,11 @@ class MediaBuffer {
     std::int64_t rejected_capacity = 0;
     std::int64_t rejected_duplicate = 0;
     std::int64_t dropped = 0;       // via drop_before
-    util::Sampler occupancy_ms;     // sampled on every push/pop
+    /// Occupancy sampled on every push/pop, kept as a sum and a count: the
+    /// mean is all that is read, and the sum adds the samples in the order
+    /// a retained list would, so the mean is the same to the bit.
+    double occupancy_ms_sum = 0.0;
+    std::int64_t occupancy_samples = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -96,7 +100,10 @@ class MediaBuffer {
   /// (only reachable with absurdly sparse indices) is rejected as capacity.
   static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << 20;
 
-  void note_occupancy() { stats_.occupancy_ms.add(occupancy_.to_ms()); }
+  void note_occupancy() {
+    stats_.occupancy_ms_sum += occupancy_.to_ms();
+    ++stats_.occupancy_samples;
+  }
   [[nodiscard]] std::size_t slot_of(std::int64_t index) const {
     return static_cast<std::size_t>(static_cast<std::uint64_t>(index) & mask_);
   }

@@ -1,5 +1,7 @@
 #include "client/presentation.hpp"
 
+#include <algorithm>
+
 #include "media/frame.hpp"
 #include "net/wire.hpp"
 #include "util/log.hpp"
@@ -89,9 +91,10 @@ void PresentationRuntime::activate(const proto::StreamSetupReply& reply,
       // each receiver report (the paper's feedback reports, §4).
       qos_.attach(rt.id, rt.buffer.get(), rt.receiver.get());
       StreamRuntime* rt_ptr = &rt;
-      rt.receiver->set_on_frame([this, rt_ptr](rtp::ReceivedFrame&& frame) {
-        on_frame(*rt_ptr, std::move(frame));
-      });
+      rt.receiver->set_on_frame(
+          [this, rt_ptr](const rtp::ReceivedFrame& frame) {
+            on_frame(*rt_ptr, frame);
+          });
     } else if (!info.via_rtp) {
       fetch_object(rt, server_node, info);
     }
@@ -103,8 +106,10 @@ void PresentationRuntime::activate(const proto::StreamSetupReply& reply,
 }
 
 void PresentationRuntime::on_frame(StreamRuntime& rt,
-                                   rtp::ReceivedFrame&& frame) {
+                                   const rtp::ReceivedFrame& frame) {
   ++stats_.frames_received;
+  // Checked in the receiver's reassembly buffer; the media buffer takes the
+  // frame's playout metadata only.
   if (!media::verify_frame_payload(frame.payload)) {
     ++stats_.payload_corruptions;
     return;
@@ -116,9 +121,8 @@ void PresentationRuntime::on_frame(StreamRuntime& rt,
                  : 0;
   bf.duration = rt.frame_interval;
   bf.arrival = frame.arrival;
-  bf.payload = std::move(frame.payload);
   LOG_TRACE << "push " << rt.spec.id << " idx " << bf.index;
-  if (rt.buffer->push(std::move(bf))) ++stats_.frames_buffered;
+  if (rt.buffer->push(bf)) ++stats_.frames_buffered;
 }
 
 void PresentationRuntime::fetch_object(
@@ -134,26 +138,31 @@ void PresentationRuntime::fetch_object(
   rt.object_conn->set_on_data([this, rt_ptr](
                                   std::span<const std::uint8_t> chunk) {
     StreamRuntime& stream = *rt_ptr;
-    stream.object_rx.insert(stream.object_rx.end(), chunk.begin(), chunk.end());
-    if (stream.object_expected == 0 && stream.object_rx.size() >= 8) {
-      net::WireReader r(stream.object_rx.data(), 8);
-      stream.object_expected = r.u64();
+    constexpr std::size_t kPrefix = sizeof(stream.object_prefix);
+    if (stream.object_received < kPrefix) {
+      const std::size_t take = std::min(
+          kPrefix - static_cast<std::size_t>(stream.object_received),
+          chunk.size());
+      std::copy_n(chunk.begin(), take,
+                  stream.object_prefix.begin() +
+                      static_cast<std::ptrdiff_t>(stream.object_received));
     }
-    if (!stream.object_done && stream.object_expected > 0 &&
-        stream.object_rx.size() >= 8 + stream.object_expected) {
-      stream.object_done = true;
-      ++stats_.objects_fetched;
-      buffer::BufferedFrame bf;
-      bf.index = 0;
-      bf.media_time = Time::zero();
-      bf.duration = stream.spec.duration.value_or(Time::zero());
-      bf.arrival = sim_.now();
-      bf.payload.assign(
-          stream.object_rx.begin() + 8,
-          stream.object_rx.begin() +
-              static_cast<std::ptrdiff_t>(8 + stream.object_expected));
-      stream.buffer->push(std::move(bf));
-    }
+    stream.object_received += chunk.size();
+    if (stream.object_done || stream.object_received < kPrefix) return;
+    // Compared as received-after-prefix against the declared length, so a
+    // hostile length near 2^64 cannot wrap the test: such an object never
+    // completes, and a closed transport then shows as objects_stalled().
+    const std::uint64_t declared =
+        net::WireReader(stream.object_prefix.data(), kPrefix).u64();
+    if (stream.object_received - kPrefix < declared) return;
+    stream.object_done = true;
+    ++stats_.objects_fetched;
+    buffer::BufferedFrame bf;
+    bf.index = 0;
+    bf.media_time = Time::zero();
+    bf.duration = stream.spec.duration.value_or(Time::zero());
+    bf.arrival = sim_.now();
+    stream.buffer->push(bf);
   });
 }
 
@@ -198,8 +207,9 @@ void PresentationRuntime::flush_telemetry() {
       m.set(m.gauge(prefix + "/pushed"), static_cast<double>(bs.pushed));
       m.set(m.gauge(prefix + "/popped"), static_cast<double>(bs.popped));
       m.set(m.gauge(prefix + "/dropped"), static_cast<double>(bs.dropped));
-      if (!bs.occupancy_ms.empty()) {
-        m.set(m.gauge(prefix + "/occupancy_ms_mean"), bs.occupancy_ms.mean());
+      if (bs.occupancy_samples > 0) {
+        m.set(m.gauge(prefix + "/occupancy_ms_mean"),
+              bs.occupancy_ms_sum / static_cast<double>(bs.occupancy_samples));
       }
     }
     if (rt->receiver != nullptr) rt->receiver->flush_telemetry();

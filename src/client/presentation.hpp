@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -122,14 +123,15 @@ class PresentationRuntime {
     std::unique_ptr<rtp::RtpReceiver> receiver;  // RTP streams only
     Time frame_interval;
     std::int64_t frame_count = 1;
-    // TCP object fetch state:
+    // TCP object fetch state. The object arrives as an 8-byte length
+    // prefix and then its bytes; only the prefix is kept, the rest counted.
     std::unique_ptr<net::StreamConnection> object_conn;
-    std::vector<std::uint8_t> object_rx;
-    std::uint64_t object_expected = 0;
+    std::array<std::uint8_t, 8> object_prefix{};
+    std::uint64_t object_received = 0;  // bytes so far, prefix included
     bool object_done = false;
   };
 
-  void on_frame(StreamRuntime& rt, rtp::ReceivedFrame&& frame);
+  void on_frame(StreamRuntime& rt, const rtp::ReceivedFrame& frame);
   void fetch_object(StreamRuntime& rt, net::NodeId server_node,
                     const proto::StreamSetupReply::StreamInfo& info);
 

@@ -91,9 +91,9 @@ std::vector<std::uint8_t> encode_frame_payload(std::uint32_t source_hash,
 }
 
 std::optional<FrameBody> verify_frame_payload(
-    const std::vector<std::uint8_t>& payload) {
+    std::span<const std::uint8_t> payload) {
   if (payload.size() < kHeaderBytes) return std::nullopt;
-  net::WireReader r(payload);
+  net::WireReader r(payload.data(), payload.size());
   if (r.u32() != kMagic) return std::nullopt;
   FrameBody meta;
   meta.source_hash = r.u32();

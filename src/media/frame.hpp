@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,8 +55,9 @@ inline constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8 + 1 + 4;
     std::uint32_t source_hash, std::int64_t index, int quality_level,
     std::size_t total_bytes);
 
-/// Verify header + body integrity; returns decoded metadata on success.
+/// Verify header + body integrity in place; returns decoded metadata on
+/// success.
 [[nodiscard]] std::optional<FrameBody> verify_frame_payload(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
 }  // namespace hyms::media

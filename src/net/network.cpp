@@ -187,7 +187,7 @@ void Network::deliver_local(Node& node, Packet&& pkt) {
     return;
   }
   ++shard.stats.delivered;
-  shard.stats.end_to_end_delay_ms.add(
+  shard.end_to_end_delay_ms.add(
       (sims_[node.partition]->now() - pkt.injected_at).to_ms());
   sock->deliver(pkt);
   // Receivers see a const Packet& and copy what they keep, so the payload
@@ -246,7 +246,7 @@ void Network::send_train(Endpoint src, Endpoint dst,
     }
     shard.stats.delivered += static_cast<std::int64_t>(scratch.size());
     for (auto& pkt : scratch) {
-      shard.stats.end_to_end_delay_ms.add((sim.now() - pkt.injected_at).to_ms());
+      shard.end_to_end_delay_ms.add((sim.now() - pkt.injected_at).to_ms());
     }
     sock->deliver_train(scratch);
     for (auto& pkt : scratch) shard.pool.release(std::move(pkt.payload));
@@ -272,7 +272,6 @@ Network::Stats Network::stats() const {
     total.delivered += shard.stats.delivered;
     total.dropped_no_route += shard.stats.dropped_no_route;
     total.dropped_no_socket += shard.stats.dropped_no_socket;
-    total.end_to_end_delay_ms.merge_from(shard.stats.end_to_end_delay_ms);
   }
   return total;
 }
@@ -290,10 +289,12 @@ void Network::flush_telemetry() {
         static_cast<double>(total.dropped_no_route));
   m.set(m.gauge("net/dropped_no_socket"),
         static_cast<double>(total.dropped_no_socket));
-  m.set(m.gauge("net/e2e_delay_ms_p50"),
-        total.end_to_end_delay_ms.percentile(50));
-  m.set(m.gauge("net/e2e_delay_ms_p95"),
-        total.end_to_end_delay_ms.percentile(95));
+  util::Sampler delay_ms;
+  for (const Shard& shard : shards_) {
+    delay_ms.merge_from(shard.end_to_end_delay_ms);
+  }
+  m.set(m.gauge("net/e2e_delay_ms_p50"), delay_ms.percentile(50));
+  m.set(m.gauge("net/e2e_delay_ms_p95"), delay_ms.percentile(95));
   for (auto& node : nodes_) {
     for (auto& link : node->out_links) link->flush_telemetry();
   }

@@ -166,9 +166,8 @@ class Network {
     std::int64_t delivered = 0;
     std::int64_t dropped_no_route = 0;
     std::int64_t dropped_no_socket = 0;
-    util::Sampler end_to_end_delay_ms;
   };
-  /// Counters merged across partition shards (sum; delay samples unioned).
+  /// Counters summed across partition shards.
   [[nodiscard]] Stats stats() const;
 
   /// Snapshot network + per-link counters into the telemetry hub (net/* and
@@ -196,6 +195,9 @@ class Network {
   /// socket memo caches only same-partition resolutions.
   struct Shard {
     Stats stats;
+    /// Every delivered datagram's delay; flush_telemetry merges the shards'
+    /// samples for the exact net/e2e_delay_ms percentiles.
+    util::Sampler end_to_end_delay_ms;
     PayloadPool pool;
     std::uint64_t next_packet_id = 1;
     std::vector<Packet> train_scratch;  // reused across send_train calls

@@ -14,26 +14,19 @@ net::Payload serialize_rtp(const RtpPacket& pkt) {
 }
 
 void serialize_rtp_into(const RtpPacket& pkt, net::Payload& out) {
-  serialize_rtp_into(pkt.header, pkt.frag_index, pkt.frag_count,
-                     pkt.payload.data(), pkt.payload.size(), out);
-}
-
-void serialize_rtp_into(const RtpHeader& header, std::uint16_t frag_index,
-                        std::uint16_t frag_count, const std::uint8_t* payload,
-                        std::size_t payload_len, net::Payload& out) {
-  out.reserve(out.size() + kRtpHeaderSize + 4 + payload_len);
+  out.reserve(out.size() + kRtpHeaderSize + 4 + pkt.payload.size());
   WireWriter w(out);
   // V=2 P=0 X=0 CC=0 -> first byte 0x80; M + PT in second byte.
   w.u8(0x80);
-  w.u8(static_cast<std::uint8_t>((header.marker ? 0x80 : 0) |
-                                 (header.payload_type & 0x7F)));
-  w.u16(header.sequence);
-  w.u32(header.timestamp);
-  w.u32(header.ssrc);
+  w.u8(static_cast<std::uint8_t>((pkt.header.marker ? 0x80 : 0) |
+                                 (pkt.header.payload_type & 0x7F)));
+  w.u16(pkt.header.sequence);
+  w.u32(pkt.header.timestamp);
+  w.u32(pkt.header.ssrc);
   // Payload-format fragmentation header.
-  w.u16(frag_index);
-  w.u16(frag_count);
-  w.bytes(payload, payload_len);
+  w.u16(pkt.frag_index);
+  w.u16(pkt.frag_count);
+  w.bytes(pkt.payload.data(), pkt.payload.size());
 }
 
 std::optional<RtpPacket> parse_rtp(const net::Payload& wire) {
@@ -50,10 +43,11 @@ std::optional<RtpPacket> parse_rtp(const net::Payload& wire) {
   pkt.header.ssrc = r.u32();
   pkt.frag_index = r.u16();
   pkt.frag_count = r.u16();
-  if (pkt.frag_count == 0 || pkt.frag_index >= pkt.frag_count) {
+  if (pkt.frag_count == 0 || pkt.frag_count > kMaxFragments ||
+      pkt.frag_index >= pkt.frag_count) {
     return std::nullopt;
   }
-  pkt.payload.assign(r.cursor(), r.cursor() + r.remaining());
+  pkt.payload = std::span<const std::uint8_t>(r.cursor(), r.remaining());
   return pkt;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,12 @@ namespace hyms::rtp {
 
 inline constexpr std::uint8_t kRtpVersion = 2;
 inline constexpr std::size_t kRtpHeaderSize = 12;
+/// Most fragments one frame may span in our payload format. 256 fragments
+/// of 1400 bytes is 358 KB, far above any frame the media profiles emit (a
+/// 1400 kbps I-frame is about 21 KB, 16 fragments). parse_rtp rejects a
+/// larger frag_count, so a hostile count cannot size a receiver's
+/// reassembly slot; RtpSender refuses to packetize a frame that needs more.
+inline constexpr std::uint16_t kMaxFragments = 256;
 
 /// RTP fixed header (RFC 1889 §5.1), plus our payload-format fragmentation
 /// header (frag_index/frag_count, 4 bytes) that plays the role RFC 2435-style
@@ -23,25 +30,28 @@ struct RtpHeader {
   std::uint32_t ssrc = 0;
 };
 
+/// One RTP packet. `payload` is borrowed: serializers read it, and
+/// parse_rtp points it into the wire buffer it parsed, so a parsed packet is
+/// valid only as long as that buffer.
 struct RtpPacket {
   RtpHeader header;
   std::uint16_t frag_index = 0;
   std::uint16_t frag_count = 1;
-  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> payload;
 };
 
 [[nodiscard]] net::Payload serialize_rtp(const RtpPacket& pkt);
 /// Append the wire form to `out` — lets senders serialize into a recycled
-/// buffer (net::PayloadPool) instead of allocating per packet.
+/// buffer (net::PayloadPool) instead of allocating per packet. The payload
+/// is read in place (a sender points it at a slice of a FrameCache-shared
+/// frame body), so packetizing copies each byte once, into the wire.
 void serialize_rtp_into(const RtpPacket& pkt, net::Payload& out);
-/// Serialize header + a borrowed payload slice straight into `out`: the
-/// zero-copy packetization path. The fragment bytes are read in place (e.g.
-/// from a FrameCache-shared frame body) — no intermediate RtpPacket::payload
-/// vector is built. Wire bytes are identical to the RtpPacket overload.
-void serialize_rtp_into(const RtpHeader& header, std::uint16_t frag_index,
-                        std::uint16_t frag_count, const std::uint8_t* payload,
-                        std::size_t payload_len, net::Payload& out);
+/// Parse without copying: the result's payload views `wire`. Rejects a
+/// packet shorter than the two headers, a version other than 2, and
+/// fragment fields outside 0 <= frag_index < frag_count <= kMaxFragments.
 [[nodiscard]] std::optional<RtpPacket> parse_rtp(const net::Payload& wire);
+/// A temporary wire buffer would leave the parsed payload dangling.
+std::optional<RtpPacket> parse_rtp(net::Payload&& wire) = delete;
 
 // --- RTCP (RFC 1889 §6) -----------------------------------------------------
 

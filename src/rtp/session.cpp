@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/log.hpp"
 
@@ -50,25 +51,32 @@ void RtpSender::append_frame(const std::vector<std::uint8_t>& data,
 
 void RtpSender::append_frame(const std::uint8_t* data, std::size_t size,
                              Time media_time) {
-  const std::uint32_t rtp_ts = params_.clock.to_rtp(media_time);
-  last_rtp_ts_ = rtp_ts;
   const std::size_t frag_count = std::max<std::size_t>(
       1, (size + params_.max_payload - 1) / params_.max_payload);
-  RtpHeader header;
-  header.payload_type = params_.payload_type;
-  header.timestamp = rtp_ts;
-  header.ssrc = params_.ssrc;
+  if (frag_count > kMaxFragments) {
+    throw std::invalid_argument(
+        "rtp sender: a " + std::to_string(size) + "-byte frame needs " +
+        std::to_string(frag_count) + " fragments, more than " +
+        std::to_string(kMaxFragments));
+  }
+  const std::uint32_t rtp_ts = params_.clock.to_rtp(media_time);
+  last_rtp_ts_ = rtp_ts;
+  RtpPacket pkt;
+  pkt.header.payload_type = params_.payload_type;
+  pkt.header.timestamp = rtp_ts;
+  pkt.header.ssrc = params_.ssrc;
+  pkt.frag_count = static_cast<std::uint16_t>(frag_count);
   for (std::size_t i = 0; i < frag_count; ++i) {
-    header.marker = (i + 1 == frag_count);
-    header.sequence = next_seq_++;
+    pkt.header.marker = (i + 1 == frag_count);
+    pkt.header.sequence = next_seq_++;
+    pkt.frag_index = static_cast<std::uint16_t>(i);
     const std::size_t begin = i * params_.max_payload;
     const std::size_t len = std::min(size - begin, params_.max_payload);
+    pkt.payload = std::span<const std::uint8_t>(data + begin, len);
     stats_.octets_sent += static_cast<std::int64_t>(len);
     ++stats_.packets_sent;
     auto wire = pool_->acquire(kRtpHeaderSize + 4 + len);
-    serialize_rtp_into(header, static_cast<std::uint16_t>(i),
-                       static_cast<std::uint16_t>(frag_count), data + begin,
-                       len, wire);
+    serialize_rtp_into(pkt, wire);
     train_.push_back(std::move(wire));
   }
   ++stats_.frames_sent;
@@ -214,31 +222,40 @@ void RtpReceiver::on_rtp(const net::Packet& pkt) {
   update_sequence(rtp.header.sequence);
   update_jitter(rtp.header.timestamp, now);
 
-  // Reassemble the frame this fragment belongs to.
+  // Reassemble the frame this fragment belongs to: the fragment's bytes are
+  // copied once, out of the wire buffer the network recycles after this
+  // callback, into the slot's part buffer.
   Assembly& asmb = assembly_for(rtp.header.timestamp, rtp.frag_count, now);
-  if (rtp.frag_index < asmb.parts.size() &&
-      asmb.parts[rtp.frag_index].empty()) {
-    asmb.parts[rtp.frag_index] = rtp.payload;
+  if (rtp.frag_index < asmb.frag_count && !asmb.parts[rtp.frag_index].filled) {
+    Part& part = asmb.parts[rtp.frag_index];
+    part.bytes.assign(rtp.payload.begin(), rtp.payload.end());
+    part.filled = true;
     ++asmb.received;
     asmb.last_transit = transit;
   }
-  if (asmb.received == asmb.parts.size()) {
+  if (asmb.received == asmb.frag_count) {
     ReceivedFrame frame;
     frame.rtp_timestamp = rtp.header.timestamp;
     frame.media_time = params_.clock.to_time(rtp.header.timestamp);
     frame.arrival = now;
     frame.network_transit = asmb.last_transit;
     frame.ssrc = rtp.header.ssrc;
-    std::size_t total = 0;
-    for (const auto& p : asmb.parts) total += p.size();
-    frame.payload.reserve(total);
-    for (const auto& p : asmb.parts) {
-      frame.payload.insert(frame.payload.end(), p.begin(), p.end());
+    if (asmb.frag_count == 1) {
+      frame.payload = asmb.parts[0].bytes;
+    } else {
+      joined_.clear();
+      for (std::uint16_t i = 0; i < asmb.frag_count; ++i) {
+        const auto& bytes = asmb.parts[i].bytes;
+        joined_.insert(joined_.end(), bytes.begin(), bytes.end());
+      }
+      frame.payload = joined_;
     }
     asmb.live = false;
     --live_assemblies_;
     ++stats_.frames_delivered;
-    if (on_frame_) on_frame_(std::move(frame));
+    // The view stays valid through the callback: the slot is only reused by
+    // the next fragment, and joined_ by the next multi-fragment frame.
+    if (on_frame_) on_frame_(frame);
   }
   evict_stale(now);
 }
@@ -262,12 +279,13 @@ RtpReceiver::Assembly& RtpReceiver::assembly_for(std::uint32_t rtp_ts,
     assemblies_.emplace_back();
     dead = &assemblies_.back();
   }
-  // Recycle the slot: the fragment buffers keep their capacity across frames.
+  // Recycle the slot: the part buffers keep their capacity across frames.
   Assembly& asmb = *dead;
   asmb.rtp_timestamp = rtp_ts;
   asmb.live = true;
-  for (auto& part : asmb.parts) part.clear();
-  asmb.parts.resize(frag_count);
+  asmb.frag_count = frag_count;
+  if (asmb.parts.size() < frag_count) asmb.parts.resize(frag_count);
+  for (std::uint16_t i = 0; i < frag_count; ++i) asmb.parts[i].filled = false;
   asmb.received = 0;
   asmb.first_arrival = now;
   asmb.last_transit = Time::zero();

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/network.hpp"
@@ -73,7 +74,9 @@ class RtpSender {
   /// Packetize a frame into the pending train without submitting it. Lets a
   /// pacing loop coalesce several same-tick frames into one train; call
   /// flush() when the burst is complete. Sequence numbers, timestamps and
-  /// stats are identical to per-frame send_frame() calls.
+  /// stats are identical to per-frame send_frame() calls. Throws
+  /// std::invalid_argument, sending nothing, for a frame that needs more
+  /// than kMaxFragments fragments.
   void append_frame(const std::vector<std::uint8_t>& data, Time media_time);
   /// Span form of append_frame — the zero-copy hot path: each fragment is
   /// serialized from `data` in place (typically a FrameCache-shared frame
@@ -130,7 +133,10 @@ class RtpSender {
 
 /// A reassembled media frame as delivered to the buffering layer.
 struct ReceivedFrame {
-  std::vector<std::uint8_t> payload;
+  /// The frame's bytes, viewed in the receiver's recycled reassembly
+  /// buffers: valid only until the on_frame callback returns. A consumer
+  /// that keeps the bytes copies them inside the callback.
+  std::span<const std::uint8_t> payload;
   std::uint32_t rtp_timestamp = 0;
   Time media_time;     // rtp_timestamp mapped through the media clock
   Time arrival;        // simulation time the last fragment arrived
@@ -143,7 +149,7 @@ struct ReceivedFrame {
 /// emits periodic Receiver Reports + APP("QOSM") feedback to the sender.
 class RtpReceiver {
  public:
-  using FrameFn = std::function<void(ReceivedFrame&&)>;
+  using FrameFn = std::function<void(const ReceivedFrame&)>;
   /// Lets the client QoS manager append its own metrics to each report.
   using MetricsFn = std::function<std::vector<std::pair<std::string, double>>()>;
 
@@ -197,14 +203,21 @@ class RtpReceiver {
   void flush_telemetry();
 
  private:
+  /// One fragment's bytes, copied out of the wire buffer on arrival.
+  struct Part {
+    std::vector<std::uint8_t> bytes;  // keeps its capacity across frames
+    bool filled = false;
+  };
   /// One in-flight frame reassembly. Slots live in a small flat array
   /// scanned linearly (a session rarely has more than one or two frames in
-  /// flight); dead slots are recycled so the per-fragment path reuses the
-  /// `parts` buffers instead of allocating a map node per frame.
+  /// flight); dead slots are recycled, and `parts` never shrinks, so in
+  /// steady state a fragment is copied into a buffer that already has the
+  /// capacity and no fragment or frame allocates.
   struct Assembly {
     std::uint32_t rtp_timestamp = 0;
     bool live = false;
-    std::vector<std::vector<std::uint8_t>> parts;
+    std::uint16_t frag_count = 0;  // parts[0, frag_count) are this frame's
+    std::vector<Part> parts;
     std::size_t received = 0;
     Time first_arrival;
     Time last_transit;
@@ -249,6 +262,7 @@ class RtpReceiver {
 
   std::vector<Assembly> assemblies_;  // flat, linearly scanned, recycled
   std::size_t live_assemblies_ = 0;
+  std::vector<std::uint8_t> joined_;  // a multi-fragment frame, recycled
   Stats stats_;
 
   telemetry::TrackId trace_track_ = telemetry::kInvalidTraceId;

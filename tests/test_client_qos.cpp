@@ -53,7 +53,7 @@ TEST_F(ClientQosTest, MetricsFlowThroughReceiverReports) {
   rtp::RtpReceiver::Params rp;
   rp.rr_interval = Time::msec(200);
   rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
-  receiver.set_on_frame([](rtp::ReceivedFrame&&) {});
+  receiver.set_on_frame([](const rtp::ReceivedFrame&) {});
   rtp::RtpSender::Params sp;
   sp.ssrc = 9;
   rtp::RtpSender sender(net_, a_, receiver.rtp_endpoint(), net::Endpoint{}, sp);

@@ -65,7 +65,7 @@ TEST_F(StreamSessionTest, PacesAllFramesAtNominalRate) {
   rtp::RtpReceiver receiver(net_, client_, 0, net::Endpoint{}, rp);
   std::vector<Time> arrivals;
   receiver.set_on_frame(
-      [&](rtp::ReceivedFrame&&) { arrivals.push_back(sim_.now()); });
+      [&](const rtp::ReceivedFrame&) { arrivals.push_back(sim_.now()); });
 
   auto session = rtp_session(video_spec(Time::zero(), Time::sec(4)), receiver);
   session->start_flow();
@@ -91,7 +91,7 @@ TEST_F(StreamSessionTest, FlowStartHonoursScenarioOffset) {
   rp.clock.clock_rate = 90'000;
   rtp::RtpReceiver receiver(net_, client_, 0, net::Endpoint{}, rp);
   Time first_arrival;
-  receiver.set_on_frame([&](rtp::ReceivedFrame&&) {
+  receiver.set_on_frame([&](const rtp::ReceivedFrame&) {
     if (first_arrival == Time::zero()) first_arrival = sim_.now();
   });
   auto session = rtp_session(video_spec(Time::sec(3), Time::sec(1)), receiver);
@@ -106,7 +106,7 @@ TEST_F(StreamSessionTest, PauseStopsPacingResumeContinues) {
   rp.clock.clock_rate = 90'000;
   rtp::RtpReceiver receiver(net_, client_, 0, net::Endpoint{}, rp);
   int frames = 0;
-  receiver.set_on_frame([&](rtp::ReceivedFrame&&) { ++frames; });
+  receiver.set_on_frame([&](const rtp::ReceivedFrame&) { ++frames; });
   auto session = rtp_session(video_spec(Time::zero(), Time::sec(4)), receiver);
   session->start_flow();
   sim_.run_until(Time::sec(1));
@@ -127,7 +127,7 @@ TEST_F(StreamSessionTest, StopHaltsForGood) {
   rp.clock.clock_rate = 90'000;
   rtp::RtpReceiver receiver(net_, client_, 0, net::Endpoint{}, rp);
   int frames = 0;
-  receiver.set_on_frame([&](rtp::ReceivedFrame&&) { ++frames; });
+  receiver.set_on_frame([&](const rtp::ReceivedFrame&) { ++frames; });
   auto session = rtp_session(video_spec(Time::zero(), Time::sec(4)), receiver);
   session->start_flow();
   sim_.run_until(Time::sec(1));
@@ -159,7 +159,7 @@ TEST_F(StreamSessionTest, DurationBeyondSourceLoops) {
   rp.clock.clock_rate = 90'000;
   rtp::RtpReceiver receiver(net_, client_, 0, net::Endpoint{}, rp);
   std::vector<std::int64_t> indices;
-  receiver.set_on_frame([&](rtp::ReceivedFrame&& f) {
+  receiver.set_on_frame([&](const rtp::ReceivedFrame& f) {
     indices.push_back(f.media_time.us() / 40'000);
   });
   // Source is 4 s; scenario schedules 10 s -> 250 frames, looping content.

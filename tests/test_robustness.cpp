@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "client/browser_session.hpp"
+#include "client/presentation.hpp"
 #include "hermes/deployment.hpp"
 #include "hermes/lesson_builder.hpp"
 #include "net/cross_traffic.hpp"
@@ -11,6 +12,7 @@
 #include "markup/writer.hpp"
 #include "media/frame.hpp"
 #include "net/network.hpp"
+#include "net/tcp.hpp"
 #include "net/wire.hpp"
 #include "proto/messages.hpp"
 #include "rtp/packets.hpp"
@@ -112,7 +114,8 @@ net::Payload valid_rtp(util::Rng& rng) {
   pkt.header.ssrc = static_cast<std::uint32_t>(rng.below(1ULL << 32));
   pkt.frag_index = 1;
   pkt.frag_count = 3;
-  pkt.payload.assign(1 + rng.below(40), 0xAB);
+  const std::vector<std::uint8_t> body(1 + rng.below(40), 0xAB);
+  pkt.payload = body;
   return rtp::serialize_rtp(pkt);
 }
 
@@ -355,7 +358,7 @@ TEST(RtpWraparoundTest, SequenceCyclesCountedAcross16BitBoundary) {
   rp.rr_interval = Time::sec(10);
   rtp::RtpReceiver receiver(net, b, 0, net::Endpoint{}, rp);
   int frames = 0;
-  receiver.set_on_frame([&](rtp::ReceivedFrame&&) { ++frames; });
+  receiver.set_on_frame([&](const rtp::ReceivedFrame&) { ++frames; });
 
   rtp::RtpSender::Params sp;
   sp.ssrc = 1;
@@ -376,6 +379,81 @@ TEST(RtpWraparoundTest, SequenceCyclesCountedAcross16BitBoundary) {
   EXPECT_EQ(frames, n);
   EXPECT_EQ(receiver.stats().packets_lost_cumulative, 0)
       << "wraparound must not be misread as loss";
+}
+
+// --- hostile object length prefix -----------------------------------------------------
+
+struct ObjectFetch {
+  std::int64_t fetched = 0;
+  bool stalled = false;
+};
+
+/// A client presentation fetches one image from a crafted server that
+/// declares `declared` bytes in the object's length prefix, sends
+/// `body_bytes` bytes and closes.
+ObjectFetch fetch_crafted_object(std::uint64_t declared,
+                                 std::size_t body_bytes) {
+  sim::Simulator sim(31);
+  net::Network net(sim);
+  const auto server = net.add_host("server");
+  const auto client = net.add_host("client");
+  net::LinkParams lp;
+  lp.bandwidth_bps = 10e6;
+  lp.propagation = Time::msec(5);
+  net.connect(server, client, lp);
+
+  const net::Port port = 700;
+  std::vector<std::unique_ptr<net::StreamConnection>> served;
+  net::StreamListener listener(
+      net, server, port, [&](std::unique_ptr<net::StreamConnection> conn) {
+        net::Payload bytes;
+        net::WireWriter w(bytes);
+        w.u64(declared);
+        bytes.resize(bytes.size() + body_bytes, 0x5A);
+        conn->send(bytes);
+        conn->close();
+        served.push_back(std::move(conn));
+      });
+
+  core::PresentationScenario scenario;
+  core::StreamSpec image;
+  image.id = "I";
+  image.type = media::MediaType::kImage;
+  image.duration = Time::sec(1);
+  scenario.streams.push_back(image);
+  client::PresentationRuntime runtime(net, client, scenario, {});
+  (void)runtime.prepare_setup("doc");
+  proto::StreamSetupReply reply;
+  reply.ok = true;
+  proto::StreamSetupReply::StreamInfo info;
+  info.stream_id = "I";
+  info.tcp_node = server;
+  info.tcp_port = port;
+  reply.streams.push_back(info);
+  runtime.activate(reply, server);
+  sim.run_until(Time::sec(5));
+  return {runtime.stats().objects_fetched, runtime.objects_stalled()};
+}
+
+TEST(ObjectPrefixTest, HugeDeclaredLengthStallsInsteadOfThrowing) {
+  // 8 + 0xFFFFFFFFFFFFFFF8 wraps to 0: a completion test written as a sum
+  // would take the object as fetched after its prefix alone.
+  ObjectFetch fetch;
+  ASSERT_NO_THROW(fetch = fetch_crafted_object(0xFFFFFFFFFFFFFFF8ULL, 100));
+  EXPECT_EQ(fetch.fetched, 0);
+  EXPECT_TRUE(fetch.stalled);
+}
+
+TEST(ObjectPrefixTest, ExactDeclaredLengthCompletes) {
+  const ObjectFetch fetch = fetch_crafted_object(100, 100);
+  EXPECT_EQ(fetch.fetched, 1);
+  EXPECT_FALSE(fetch.stalled);
+}
+
+TEST(ObjectPrefixTest, ZeroLengthObjectCompletes) {
+  const ObjectFetch fetch = fetch_crafted_object(0, 0);
+  EXPECT_EQ(fetch.fetched, 1);
+  EXPECT_FALSE(fetch.stalled);
 }
 
 // --- end-to-end determinism -----------------------------------------------------------

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <stdexcept>
+
+#include "media/frame.hpp"
 #include "net/loss.hpp"
 #include "net/network.hpp"
 #include "net/wire.hpp"
@@ -7,12 +14,31 @@
 #include "rtp/session.hpp"
 #include "sim/simulator.hpp"
 
+// Every global operator new in this test binary is counted, so a test can
+// assert that a code path allocates nothing. The default array and nothrow
+// forms call this one. The deletes are kept out of line: inlined, GCC takes
+// their free() for a mismatch with the operator new it sees at call sites.
+namespace {
+std::atomic<std::size_t> g_heap_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace hyms {
 namespace {
 
 // --- wire format ------------------------------------------------------------------
 
 TEST(RtpPacketTest, HeaderRoundTrip) {
+  const std::vector<std::uint8_t> bytes{1, 2, 3, 4, 5};
   rtp::RtpPacket pkt;
   pkt.header.payload_type = 96;
   pkt.header.marker = true;
@@ -21,7 +47,7 @@ TEST(RtpPacketTest, HeaderRoundTrip) {
   pkt.header.ssrc = 0x12345678;
   pkt.frag_index = 2;
   pkt.frag_count = 5;
-  pkt.payload = {1, 2, 3, 4, 5};
+  pkt.payload = bytes;
 
   const auto wire = rtp::serialize_rtp(pkt);
   const auto parsed = rtp::parse_rtp(wire);
@@ -33,7 +59,9 @@ TEST(RtpPacketTest, HeaderRoundTrip) {
   EXPECT_EQ(parsed->header.ssrc, 0x12345678u);
   EXPECT_EQ(parsed->frag_index, 2);
   EXPECT_EQ(parsed->frag_count, 5);
-  EXPECT_EQ(parsed->payload, pkt.payload);
+  EXPECT_TRUE(std::ranges::equal(parsed->payload, bytes));
+  // The parsed payload is a view of the wire bytes, not a copy.
+  EXPECT_EQ(parsed->payload.data(), wire.data() + rtp::kRtpHeaderSize + 4);
 }
 
 TEST(RtpPacketTest, VersionBitsCorrect) {
@@ -43,7 +71,8 @@ TEST(RtpPacketTest, VersionBitsCorrect) {
 }
 
 TEST(RtpPacketTest, RejectsMalformed) {
-  EXPECT_FALSE(rtp::parse_rtp(net::Payload{1, 2, 3}).has_value());
+  const net::Payload short_wire{1, 2, 3};
+  EXPECT_FALSE(rtp::parse_rtp(short_wire).has_value());
   rtp::RtpPacket pkt;
   auto wire = rtp::serialize_rtp(pkt);
   wire[0] = 0x40;  // version 1
@@ -56,6 +85,17 @@ TEST(RtpPacketTest, RejectsBadFragmentFields) {
   pkt.frag_count = 3;  // index >= count
   const auto wire = rtp::serialize_rtp(pkt);
   EXPECT_FALSE(rtp::parse_rtp(wire).has_value());
+}
+
+TEST(RtpPacketTest, FragmentCountLimit) {
+  rtp::RtpPacket pkt;
+  pkt.frag_count = rtp::kMaxFragments;
+  pkt.frag_index = rtp::kMaxFragments - 1;
+  const auto at_limit = rtp::serialize_rtp(pkt);
+  EXPECT_TRUE(rtp::parse_rtp(at_limit).has_value());
+  pkt.frag_count = rtp::kMaxFragments + 1;
+  const auto past_limit = rtp::serialize_rtp(pkt);
+  EXPECT_FALSE(rtp::parse_rtp(past_limit).has_value());
 }
 
 TEST(RtcpTest, SenderReportRoundTrip) {
@@ -225,16 +265,35 @@ class RtpSessionFixture : public ::testing::Test {
   net::NodeId a_, b_;
 };
 
+/// Frame k of a test stream: a checkable media payload whose index is k, so
+/// a receiver can tell its bytes from any other frame's.
+std::vector<std::uint8_t> test_frame(int k, std::size_t bytes) {
+  return media::encode_frame_payload(media::hash_source_name("rtp-test"), k,
+                                     0, bytes);
+}
+
+/// What a receive callback saw of one frame. The frame's payload is a view
+/// that dies with the callback, so the callback checks the bytes there.
+struct SeenFrame {
+  Time media_time;
+  std::size_t bytes = 0;
+  std::int64_t verified_index = -1;  // -1: the bytes failed the check
+};
+
+SeenFrame see(const rtp::ReceivedFrame& f) {
+  const auto meta = media::verify_frame_payload(f.payload);
+  return SeenFrame{f.media_time, f.payload.size(), meta ? meta->index : -1};
+}
+
 TEST_F(RtpSessionFixture, FramesDeliveredWithFragmentation) {
   link(clean_link());
   rtp::RtpReceiver::Params rp;
   rp.clock.clock_rate = 90'000;
   rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
 
-  std::vector<rtp::ReceivedFrame> frames;
-  receiver.set_on_frame([&](rtp::ReceivedFrame&& f) {
-    frames.push_back(std::move(f));
-  });
+  std::vector<SeenFrame> frames;
+  receiver.set_on_frame(
+      [&](const rtp::ReceivedFrame& f) { frames.push_back(see(f)); });
 
   rtp::RtpSender::Params sp;
   sp.ssrc = 1;
@@ -242,23 +301,92 @@ TEST_F(RtpSessionFixture, FramesDeliveredWithFragmentation) {
   sp.max_payload = 1000;
   rtp::RtpSender sender(net_, a_, receiver.rtp_endpoint(), net::Endpoint{}, sp);
 
+  // Even frames are 2500 bytes (3 fragments at max_payload 1000), odd ones
+  // 600 bytes (one fragment).
+  auto size_of = [](int k) -> std::size_t { return k % 2 == 0 ? 2500 : 600; };
   for (int k = 0; k < 10; ++k) {
     sim_.schedule_at(Time::msec(40 * k), [&, k] {
-      // 2500 bytes -> 3 fragments at max_payload 1000.
-      sender.send_frame(std::vector<std::uint8_t>(2500, 0x55),
-                        Time::msec(40 * k));
+      sender.send_frame(test_frame(k, size_of(k)), Time::msec(40 * k));
     });
   }
   sim_.run_until(Time::sec(2));
 
   ASSERT_EQ(frames.size(), 10u);
-  EXPECT_EQ(receiver.stats().packets_received, 30);
+  EXPECT_EQ(receiver.stats().packets_received, 20);
   for (int k = 0; k < 10; ++k) {
-    EXPECT_EQ(frames[static_cast<size_t>(k)].media_time, Time::msec(40 * k));
-    EXPECT_EQ(frames[static_cast<size_t>(k)].payload.size(), 2500u);
+    const SeenFrame& f = frames[static_cast<size_t>(k)];
+    EXPECT_EQ(f.media_time, Time::msec(40 * k));
+    EXPECT_EQ(f.bytes, size_of(k));
+    EXPECT_EQ(f.verified_index, k) << "frame " << k;
   }
   EXPECT_EQ(sender.stats().frames_sent, 10);
-  EXPECT_EQ(sender.stats().packets_sent, 30);
+  EXPECT_EQ(sender.stats().packets_sent, 20);
+}
+
+TEST_F(RtpSessionFixture, FrameOfMaxFragmentsAssembles) {
+  link(clean_link());
+  rtp::RtpReceiver::Params rp;
+  rp.clock.clock_rate = 90'000;
+  rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
+  std::vector<SeenFrame> frames;
+  receiver.set_on_frame(
+      [&](const rtp::ReceivedFrame& f) { frames.push_back(see(f)); });
+
+  rtp::RtpSender::Params sp;
+  sp.ssrc = 1;
+  sp.clock.clock_rate = 90'000;
+  sp.max_payload = 100;
+  rtp::RtpSender sender(net_, a_, receiver.rtp_endpoint(), net::Endpoint{}, sp);
+  const std::size_t bytes = rtp::kMaxFragments * sp.max_payload;
+  sender.send_frame(test_frame(7, bytes), Time::zero());
+  sim_.run_until(Time::sec(1));
+
+  EXPECT_EQ(sender.stats().packets_sent, rtp::kMaxFragments);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].bytes, bytes);
+  EXPECT_EQ(frames[0].verified_index, 7);
+}
+
+TEST_F(RtpSessionFixture, SenderRejectsFrameOverFragmentLimit) {
+  link(clean_link());
+  rtp::RtpSender::Params sp;
+  sp.ssrc = 1;
+  sp.max_payload = 100;
+  rtp::RtpSender sender(net_, a_, net::Endpoint{b_, 5000}, net::Endpoint{},
+                        sp);
+  const std::vector<std::uint8_t> frame(
+      rtp::kMaxFragments * sp.max_payload + 1, 0x11);
+  EXPECT_THROW(sender.send_frame(frame, Time::zero()), std::invalid_argument);
+  EXPECT_EQ(sender.stats().frames_sent, 0);
+  EXPECT_EQ(sender.stats().packets_sent, 0);
+  EXPECT_EQ(net_.stats().sent, 0);
+}
+
+TEST_F(RtpSessionFixture, HostileFragmentCountsAreDropped) {
+  // A fragment count past kMaxFragments never reaches reassembly, so it
+  // cannot size a slot's part list (at 65535 parts a slot held 1.5 MiB).
+  link(clean_link());
+  rtp::RtpReceiver::Params rp;
+  rp.clock.clock_rate = 90'000;
+  rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
+  int frames = 0;
+  receiver.set_on_frame([&](const rtp::ReceivedFrame&) { ++frames; });
+
+  const std::vector<std::uint8_t> body(100, 0x42);
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    rtp::RtpPacket pkt;
+    pkt.header.sequence = static_cast<std::uint16_t>(i);
+    pkt.header.timestamp = 3000 * i;
+    pkt.frag_count = i % 2 == 0 ? 0xFFFF : rtp::kMaxFragments + 1;
+    pkt.payload = body;
+    net_.send(net::Endpoint{a_, 4000}, receiver.rtp_endpoint(),
+              rtp::serialize_rtp(pkt));
+  }
+  sim_.run_until(Time::sec(1));
+
+  EXPECT_EQ(net_.stats().delivered, 20);
+  EXPECT_EQ(receiver.stats().packets_received, 0);
+  EXPECT_EQ(frames, 0);
 }
 
 TEST_F(RtpSessionFixture, LostFragmentDropsOnlyThatFrame) {
@@ -271,7 +399,7 @@ TEST_F(RtpSessionFixture, LostFragmentDropsOnlyThatFrame) {
   rp.reassembly_timeout = Time::msec(500);
   rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
   int frames = 0;
-  receiver.set_on_frame([&](rtp::ReceivedFrame&&) { ++frames; });
+  receiver.set_on_frame([&](const rtp::ReceivedFrame&) { ++frames; });
 
   rtp::RtpSender::Params sp;
   sp.ssrc = 1;
@@ -304,7 +432,7 @@ TEST_F(RtpSessionFixture, JitterEstimatorSeesLinkJitter) {
   rtp::RtpReceiver::Params rp;
   rp.clock.clock_rate = 90'000;
   rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
-  receiver.set_on_frame([](rtp::ReceivedFrame&&) {});
+  receiver.set_on_frame([](const rtp::ReceivedFrame&) {});
 
   rtp::RtpSender::Params sp;
   sp.ssrc = 1;
@@ -328,7 +456,7 @@ TEST_F(RtpSessionFixture, JitterNearZeroOnCleanLink) {
   rtp::RtpReceiver::Params rp;
   rp.clock.clock_rate = 90'000;
   rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
-  receiver.set_on_frame([](rtp::ReceivedFrame&&) {});
+  receiver.set_on_frame([](const rtp::ReceivedFrame&) {});
   rtp::RtpSender::Params sp;
   sp.ssrc = 1;
   sp.clock.clock_rate = 90'000;
@@ -348,7 +476,7 @@ TEST_F(RtpSessionFixture, FeedbackLoopDeliversReportsAndRtt) {
   rp.clock.clock_rate = 90'000;
   rp.rr_interval = Time::msec(200);
   rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
-  receiver.set_on_frame([](rtp::ReceivedFrame&&) {});
+  receiver.set_on_frame([](const rtp::ReceivedFrame&) {});
   receiver.set_extra_metrics([] {
     return std::vector<std::pair<std::string, double>>{{"buffer_ms", 480.0}};
   });
@@ -395,7 +523,7 @@ TEST_F(RtpSessionFixture, FractionLostReflectsLoss) {
   rp.clock.clock_rate = 90'000;
   rp.rr_interval = Time::msec(500);
   rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
-  receiver.set_on_frame([](rtp::ReceivedFrame&&) {});
+  receiver.set_on_frame([](const rtp::ReceivedFrame&) {});
 
   rtp::RtpSender::Params sp;
   sp.ssrc = 1;
@@ -426,12 +554,9 @@ TEST_F(RtpSessionFixture, ReorderedFragmentsStillAssemble) {
   rtp::RtpReceiver::Params rp;
   rp.clock.clock_rate = 90'000;
   rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
-  int frames = 0;
-  std::size_t total_bytes = 0;
-  receiver.set_on_frame([&](rtp::ReceivedFrame&& f) {
-    ++frames;
-    total_bytes += f.payload.size();
-  });
+  std::vector<SeenFrame> frames;
+  receiver.set_on_frame(
+      [&](const rtp::ReceivedFrame& f) { frames.push_back(see(f)); });
 
   rtp::RtpSender::Params sp;
   sp.ssrc = 1;
@@ -439,15 +564,69 @@ TEST_F(RtpSessionFixture, ReorderedFragmentsStillAssemble) {
   sp.max_payload = 700;
   rtp::RtpSender sender(net_, a_, receiver.rtp_endpoint(), net::Endpoint{}, sp);
 
+  // Every fourth frame fits one fragment; the others span three.
+  auto size_of = [](int k) -> std::size_t { return k % 4 == 3 ? 500 : 2000; };
   const int n = 100;
   for (int k = 0; k < n; ++k) {
     sim_.schedule_at(Time::msec(25 * k), [&, k] {
-      sender.send_frame(std::vector<std::uint8_t>(2000, 9), Time::msec(25 * k));
+      sender.send_frame(test_frame(k, size_of(k)), Time::msec(25 * k));
     });
   }
   sim_.run_until(Time::sec(10));
-  EXPECT_EQ(frames, n);
-  EXPECT_EQ(total_bytes, static_cast<std::size_t>(n) * 2000u);
+  ASSERT_EQ(frames.size(), static_cast<std::size_t>(n));
+  // Frames may complete out of order; each one's bytes must be its own.
+  for (const SeenFrame& f : frames) {
+    const int k = static_cast<int>(f.media_time.us() / 25'000);
+    EXPECT_EQ(f.verified_index, k) << "frame " << k;
+    EXPECT_EQ(f.bytes, size_of(k)) << "frame " << k;
+  }
+}
+
+TEST_F(RtpSessionFixture, SteadyStateReceivePathAllocatesNothing) {
+  // Sender -> clean link -> receiver, with a frame check in the callback.
+  // After a warm-up that sizes every recycled buffer (and lets the retained
+  // delay samplers grow past the measured window), moving 100 frames of 3
+  // fragments each performs no heap allocation anywhere on the path.
+  link(clean_link());
+  rtp::RtpReceiver::Params rp;
+  rp.clock.clock_rate = 90'000;
+  rp.rr_interval = Time::sec(3600);  // no RTCP inside the run
+  rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
+  int verified = 0;
+  receiver.set_on_frame([&](const rtp::ReceivedFrame& f) {
+    if (media::verify_frame_payload(f.payload)) ++verified;
+  });
+
+  rtp::RtpSender::Params sp;
+  sp.ssrc = 1;
+  sp.clock.clock_rate = 90'000;
+  sp.max_payload = 1000;
+  sp.sr_interval = Time::sec(3600);
+  rtp::RtpSender sender(net_, a_, receiver.rtp_endpoint(), net::Endpoint{}, sp);
+
+  const int warmup = 200;
+  const int measured = 100;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (int k = 0; k < warmup + measured; ++k) {
+    payloads.push_back(test_frame(k, 2500));  // 3 fragments
+  }
+  for (int k = 0; k < warmup + measured; ++k) {
+    sim_.schedule_at(Time::msec(40 * k), [&, k] {
+      sender.send_frame(payloads[static_cast<std::size_t>(k)],
+                        Time::msec(40 * k));
+    });
+  }
+  const Time warm_end = Time::msec(40 * warmup);
+  sim_.run_until(warm_end - Time::msec(1));
+  ASSERT_EQ(verified, warmup);
+
+  const std::size_t before = g_heap_allocations.load();
+  sim_.run_until(warm_end + Time::msec(40 * measured) - Time::msec(1));
+  const std::size_t allocations = g_heap_allocations.load() - before;
+
+  EXPECT_EQ(verified, warmup + measured);
+  EXPECT_EQ(receiver.stats().packets_received, 3 * (warmup + measured));
+  EXPECT_EQ(allocations, 0u);
 }
 
 }  // namespace

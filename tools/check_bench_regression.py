@@ -3,12 +3,17 @@
 
 Understands two JSON schemas, sniffed per file:
 
-- google-benchmark JSON from `bench_micro --json`: compares
-  items_per_second for every benchmark in the guarded families present in
-  both files: BM_PacketForwarding* (the steady-state batched path, the
-  unbatched reference path, the train path, and the telemetry-on variant)
-  plus the frame-cache pair BM_FrameSynthesis / BM_FrameCacheHit and the
-  client-side frame check BM_FrameVerify.
+- google-benchmark JSON from `bench_micro --json`: compares the median
+  items_per_second (a single-run file's plain figure stands in) for every
+  benchmark in the guarded families present in both files:
+  BM_PacketForwarding* (the steady-state batched path, the unbatched
+  reference path, the train path, and the telemetry-on variant) plus the
+  frame-cache pair BM_FrameSynthesis / BM_FrameCacheHit and the
+  client-side frame check BM_FrameVerify. Each benchmark's coefficient of
+  variation is printed; where either file's CV exceeds the budget, the
+  comparison is reported as unresolved, because that spread can hide a
+  slowdown of the budget's size. A median slowdown beyond the budget fails
+  either way.
 
 - bench_population JSON (context.benchmark == "bench_population"):
   compares events_per_sec for every (partitions, threads) cell present in
@@ -42,6 +47,9 @@ import argparse
 import json
 import sys
 
+from gbench_json import (benchmark_names, cv_percent, describe_cv,
+                         median_items_per_second, unresolved)
+
 FAMILY_PREFIXES = ("BM_PacketForwarding", "BM_FrameSynthesis",
                    "BM_FrameCacheHit", "BM_FrameVerify")
 
@@ -62,6 +70,7 @@ def cell_prefix(doc):
 
 
 def family_items_per_second(doc):
+    """{name: (figure, CV percent or None)} for every guarded benchmark."""
     prefix = cell_prefix(doc)
     if prefix is not None:
         out = {}
@@ -71,13 +80,13 @@ def family_items_per_second(doc):
             name = "{}/{}p{}t{}".format(prefix, mid, row.get("partitions"),
                                         row.get("threads"))
             if "events_per_sec" in row:
-                out[name] = float(row["events_per_sec"])
+                out[name] = (float(row["events_per_sec"]), None)
         return out
     out = {}
-    for bench in doc.get("benchmarks", []):
-        name = bench.get("name", "")
-        if name.startswith(FAMILY_PREFIXES) and "items_per_second" in bench:
-            out[name] = float(bench["items_per_second"])
+    for name in benchmark_names(doc):
+        value = median_items_per_second(doc, name)
+        if name.startswith(FAMILY_PREFIXES) and value is not None:
+            out[name] = (value, cv_percent(doc, name))
     return out
 
 
@@ -127,21 +136,25 @@ def main():
         print(f"check_bench_regression: baseline host {base_host!r} != "
               f"{fresh_host!r}; cross-host numbers are noise -- warn only")
         for name in common:
-            print(f"  {name}: baseline {base_items[name]:,.0f} items/s, "
-                  f"fresh {fresh_items[name]:,.0f}")
+            print(f"  {name}: baseline {base_items[name][0]:,.0f} items/s, "
+                  f"fresh {fresh_items[name][0]:,.0f}")
         return 0
 
     failed = False
     for name in common:
-        cur = fresh_items[name]
-        ref = base_items[name]
+        cur, cur_cv = fresh_items[name]
+        ref, ref_cv = base_items[name]
         slowdown = (ref / cur - 1.0) * 100.0 if cur > 0 else float("inf")
         print(f"{name}: {cur:,.0f} items/s "
-              f"(baseline {ref:,.0f}, {slowdown:+.1f}%)")
+              f"(baseline {ref:,.0f}, {slowdown:+.1f}%; CV "
+              f"{describe_cv(cur_cv)}, baseline {describe_cv(ref_cv)})")
         if slowdown > args.budget:
             print(f"FAIL: {name} regressed {slowdown:.1f}% > "
                   f"budget {args.budget:.1f}%", file=sys.stderr)
             failed = True
+        elif unresolved(args.budget, cur_cv, ref_cv):
+            print(f"  unresolved: a CV above the {args.budget:.1f}% budget "
+                  "can hide a slowdown of that size")
 
     return 1 if failed else 0
 

@@ -21,6 +21,13 @@ file produced by `bench_micro --json`. The pairs are:
    (informational unless --max-on-overhead is given; the bound applies
    only to the packet pair — session QoE collection is an opt-in path).
 
+Both compare medians over `bench_micro --json`'s repetitions (a
+single-run file's plain figure stands in) and print each benchmark's
+coefficient of variation. Where a CV exceeds the bound a comparison is
+held to, the comparison is reported as unresolved: that spread can hide
+a difference of the bound's size. A median beyond the bound fails either
+way.
+
 Exit code 0 = within budget (or nothing comparable), 1 = regression.
 
 Usage:
@@ -31,6 +38,9 @@ Usage:
 import argparse
 import json
 import sys
+
+from gbench_json import (cv_percent, describe_cv, median_items_per_second,
+                         unresolved)
 
 STEADY = "BM_PacketForwardingSteadyState"
 TRACED = "BM_PacketForwardingTelemetryOn"
@@ -45,13 +55,6 @@ PAIRS = (
 def load(path):
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
-
-
-def items_per_second(doc, name):
-    for bench in doc.get("benchmarks", []):
-        if bench.get("name") == name and "items_per_second" in bench:
-            return float(bench["items_per_second"])
-    return None
 
 
 def main():
@@ -76,22 +79,30 @@ def main():
 
     failed = False
     for off_name, on_name, bound_on in PAIRS:
-        off = items_per_second(fresh, off_name)
-        on = items_per_second(fresh, on_name)
+        off = median_items_per_second(fresh, off_name)
+        on = median_items_per_second(fresh, on_name)
+        off_cv = cv_percent(fresh, off_name)
+        on_cv = cv_percent(fresh, on_name)
 
         if off is not None and on is not None and on > 0:
             delta = (off / on - 1.0) * 100.0
             print(f"telemetry-on cost: {off_name} {off:,.0f} items/s vs "
-                  f"{on_name} {on:,.0f} items/s ({delta:+.1f}%)")
-            if (bound_on and args.max_on_overhead is not None
-                    and delta > args.max_on_overhead):
-                print(f"FAIL: tracing-on overhead {delta:.1f}% exceeds "
-                      f"{args.max_on_overhead:.1f}%", file=sys.stderr)
-                failed = True
+                  f"{on_name} {on:,.0f} items/s ({delta:+.1f}%; CV "
+                  f"{describe_cv(off_cv)} vs {describe_cv(on_cv)})")
+            if bound_on and args.max_on_overhead is not None:
+                if delta > args.max_on_overhead:
+                    print(f"FAIL: tracing-on overhead {delta:.1f}% exceeds "
+                          f"{args.max_on_overhead:.1f}%", file=sys.stderr)
+                    failed = True
+                elif unresolved(args.max_on_overhead, off_cv, on_cv):
+                    print("  unresolved: a CV above the "
+                          f"{args.max_on_overhead:.1f}% bound can hide an "
+                          "overhead of that size")
 
         if base is None:
             continue
-        base_off = items_per_second(base, off_name)
+        base_off = median_items_per_second(base, off_name)
+        base_cv = cv_percent(base, off_name)
         if base_off is None or off is None:
             print("check_telemetry_overhead: no comparable "
                   f"{off_name} in baseline -- skipping off-path check")
@@ -104,12 +115,16 @@ def main():
             slowdown = (base_off / off - 1.0) * 100.0 if off > 0 else 0.0
             print(f"telemetry-off path vs baseline: {off_name} "
                   f"{off:,.0f} items/s "
-                  f"(baseline {base_off:,.0f}, {slowdown:+.1f}%)")
+                  f"(baseline {base_off:,.0f}, {slowdown:+.1f}%; CV "
+                  f"{describe_cv(off_cv)}, baseline {describe_cv(base_cv)})")
             if slowdown > args.budget:
                 print(f"FAIL: telemetry-off path {off_name} regressed "
                       f"{slowdown:.1f}% > budget {args.budget:.1f}%",
                       file=sys.stderr)
                 failed = True
+            elif unresolved(args.budget, off_cv, base_cv):
+                print(f"  unresolved: a CV above the {args.budget:.1f}% "
+                      "budget can hide a slowdown of that size")
 
     return 1 if failed else 0
 
