@@ -152,18 +152,6 @@ void BM_RtcpCompound(benchmark::State& state) {
 }
 BENCHMARK(BM_RtcpCompound);
 
-void BM_VideoFrameGeneration(benchmark::State& state) {
-  media::VideoProfile profile;
-  media::VideoSource source("video:mpeg:bench", profile, Time::sec(60));
-  std::int64_t k = 0;
-  for (auto _ : state) {
-    auto frame = source.frame(k % source.frame_count(), 0);
-    benchmark::DoNotOptimize(frame);
-    ++k;
-  }
-}
-BENCHMARK(BM_VideoFrameGeneration);
-
 void BM_FrameSynthesis(benchmark::State& state) {
   // The cost a cache miss pays (and every frame paid before the shared
   // cache): synthesize the payload bytes from scratch. Pairs with
@@ -371,33 +359,6 @@ void BM_PacketForwardingTelemetryOn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_PacketForwardingTelemetryOn);
-
-void BM_MetricsCounterAdd(benchmark::State& state) {
-  // The metric hot path itself: one interned-id counter bump.
-  telemetry::MetricsRegistry metrics;
-  const auto id = metrics.counter("bench/counter");
-  for (auto _ : state) {
-    metrics.add(id);
-    benchmark::DoNotOptimize(metrics);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsCounterAdd);
-
-void BM_MetricsHistogramObserve(benchmark::State& state) {
-  telemetry::MetricsRegistry metrics;
-  const auto id =
-      metrics.histogram("bench/hist", telemetry::HistogramSpec{0.0, 100.0, 64});
-  double v = 0.0;
-  for (auto _ : state) {
-    metrics.observe(id, v);
-    v += 0.37;
-    if (v > 110.0) v = -5.0;  // touch underflow/overflow paths too
-    benchmark::DoNotOptimize(metrics);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsHistogramObserve);
 
 void BM_TracerInstant(benchmark::State& state) {
   // One interned-id trace record: a 24-byte push_back behind the enabled

@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -87,7 +88,9 @@ void print_fates(const char* scenario, const hyms::hermes::PopulationResult& r) 
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// run_population rejects a world it cannot build (--sessions 0,
+// --partitions 0, ...) with std::invalid_argument; that is a bad flag too.
+int main(int argc, char** argv) try {
   using hyms::Time;
   namespace bench = hyms::bench;
 
@@ -307,4 +310,7 @@ int main(int argc, char** argv) {
     std::printf("wrote BENCH_population.json\n");
   }
   return all_deterministic ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "bench_population: %s\n", e.what());
+  return 2;
 }

@@ -51,7 +51,7 @@ TransportResult run_rtp(double loss, std::uint64_t seed) {
   net.connect(a, b, lossy_link(loss));
 
   TransportResult result;
-  util::OnlineStats lateness;
+  util::Sampler lateness;
 
   rtp::RtpReceiver::Params rp;
   rp.clock.clock_rate = 90'000;
@@ -90,7 +90,7 @@ TransportResult run_tcp(double loss, std::uint64_t seed) {
   net.connect(a, b, lossy_link(loss));
 
   TransportResult result;
-  util::OnlineStats lateness;
+  util::Sampler lateness;
 
   std::unique_ptr<net::StreamConnection> server_conn;
   std::vector<std::uint8_t> rx;

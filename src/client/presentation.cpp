@@ -191,24 +191,21 @@ void PresentationRuntime::flush_telemetry() {
   auto* hub = sim_.telemetry();
   if (hub == nullptr) return;
   auto& m = hub->metrics();
-  m.set(m.gauge("client/frames_received"),
-        static_cast<double>(stats_.frames_received));
-  m.set(m.gauge("client/frames_buffered"),
-        static_cast<double>(stats_.frames_buffered));
-  m.set(m.gauge("client/payload_corruptions"),
+  m.set("client/frames_received", static_cast<double>(stats_.frames_received));
+  m.set("client/frames_buffered", static_cast<double>(stats_.frames_buffered));
+  m.set("client/payload_corruptions",
         static_cast<double>(stats_.payload_corruptions));
-  m.set(m.gauge("client/objects_fetched"),
-        static_cast<double>(stats_.objects_fetched));
+  m.set("client/objects_fetched", static_cast<double>(stats_.objects_fetched));
   for (const auto& rt : streams_) {
     if (rt == nullptr) continue;
     if (rt->buffer != nullptr) {
       const auto& bs = rt->buffer->stats();
       const std::string prefix = "client/buffer/" + rt->spec.id;
-      m.set(m.gauge(prefix + "/pushed"), static_cast<double>(bs.pushed));
-      m.set(m.gauge(prefix + "/popped"), static_cast<double>(bs.popped));
-      m.set(m.gauge(prefix + "/dropped"), static_cast<double>(bs.dropped));
+      m.set(prefix + "/pushed", static_cast<double>(bs.pushed));
+      m.set(prefix + "/popped", static_cast<double>(bs.popped));
+      m.set(prefix + "/dropped", static_cast<double>(bs.dropped));
       if (bs.occupancy_samples > 0) {
-        m.set(m.gauge(prefix + "/occupancy_ms_mean"),
+        m.set(prefix + "/occupancy_ms_mean",
               bs.occupancy_ms_sum / static_cast<double>(bs.occupancy_samples));
       }
     }

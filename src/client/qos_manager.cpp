@@ -29,18 +29,14 @@ std::vector<std::pair<std::string, double>> ClientQosManager::metrics_for(
   std::vector<std::pair<std::string, double>> metrics;
   if (id >= streams_.size() || !streams_[id].attached) return metrics;
   const StreamRef& ref = streams_[id];
-  if (config_.report_buffer && ref.buffer != nullptr) {
+  if (ref.buffer != nullptr) {
     metrics.emplace_back("buffer_ms", ref.buffer->occupancy_time().to_ms());
   }
   if (ref.receiver != nullptr) {
-    if (config_.report_jitter) {
-      metrics.emplace_back("jitter_ms", ref.receiver->stats().jitter_ms);
-    }
-    if (config_.report_incomplete) {
-      metrics.emplace_back(
-          "incomplete",
-          static_cast<double>(ref.receiver->stats().frames_incomplete));
-    }
+    metrics.emplace_back("jitter_ms", ref.receiver->stats().jitter_ms);
+    metrics.emplace_back(
+        "incomplete",
+        static_cast<double>(ref.receiver->stats().frames_incomplete));
   }
   return metrics;
 }

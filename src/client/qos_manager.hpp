@@ -23,25 +23,17 @@ namespace hyms::client {
 /// metrics lookup is a vector index, not a string-map walk.
 class ClientQosManager {
  public:
-  struct Config {
-    /// Report the buffer's occupancy so the server sees imminent underflow.
-    bool report_buffer = true;
-    /// Report the RFC jitter estimate in milliseconds.
-    bool report_jitter = true;
-    /// Report the count of frames that failed reassembly.
-    bool report_incomplete = true;
-  };
-
-  ClientQosManager() = default;
-  explicit ClientQosManager(Config config) : config_(config) {}
-
   /// Register a stream: wires this manager as the receiver's APP-metrics
   /// source. Pointers are non-owning and must outlive the manager's use.
   void attach(core::StreamId id, buffer::MediaBuffer* buffer,
               rtp::RtpReceiver* receiver);
   void detach(core::StreamId id);
 
-  /// The metrics for one stream's next feedback report.
+  /// The metrics for one stream's next feedback report: the buffer's
+  /// occupancy ("buffer_ms", so the server sees imminent underflow), the RFC
+  /// jitter estimate ("jitter_ms") and the count of frames that failed
+  /// reassembly ("incomplete"). A stream without a receiver reports only
+  /// its buffer.
   [[nodiscard]] std::vector<std::pair<std::string, double>> metrics_for(
       core::StreamId id) const;
 
@@ -58,7 +50,6 @@ class ClientQosManager {
     bool attached = false;
   };
 
-  Config config_{};
   std::vector<StreamRef> streams_;  // indexed by StreamId
   std::size_t attached_ = 0;
 };

@@ -6,20 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "util/time.hpp"
-
 namespace hyms::media {
-
-/// One access unit of a media stream: a video frame, an audio block, or a
-/// whole image. `media_time` is presentation time relative to the stream's
-/// own start (the playout scheduler adds the scenario STARTIME).
-struct MediaFrame {
-  std::int64_t index = 0;
-  Time media_time;
-  Time duration;
-  int quality_level = 0;
-  std::vector<std::uint8_t> payload;
-};
 
 /// Frame payload layout (deterministic, integrity-checkable):
 ///   magic(4) source_hash(4) index(8) level(1) body_len(4) body(body_len)

@@ -85,13 +85,12 @@ void FrameCache::flush_telemetry(telemetry::MetricsRegistry& metrics,
                                  std::string_view prefix) const {
   const Stats s = stats();
   const std::string p(prefix);
-  metrics.set(metrics.gauge(p + "hits"), static_cast<double>(s.hits));
-  metrics.set(metrics.gauge(p + "misses"), static_cast<double>(s.misses));
-  metrics.set(metrics.gauge(p + "evictions"),
-              static_cast<double>(s.evictions));
-  metrics.set(metrics.gauge(p + "bytes"), static_cast<double>(s.bytes));
-  metrics.set(metrics.gauge(p + "entries"), static_cast<double>(s.entries));
-  metrics.set(metrics.gauge(p + "hit_rate"), s.hit_rate());
+  metrics.set(p + "hits", static_cast<double>(s.hits));
+  metrics.set(p + "misses", static_cast<double>(s.misses));
+  metrics.set(p + "evictions", static_cast<double>(s.evictions));
+  metrics.set(p + "bytes", static_cast<double>(s.bytes));
+  metrics.set(p + "entries", static_cast<double>(s.entries));
+  metrics.set(p + "hit_rate", s.hit_rate());
 }
 
 }  // namespace hyms::media

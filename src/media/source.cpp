@@ -27,20 +27,6 @@ std::uint64_t fnv64(const std::string& bytes) {
 }
 }  // namespace
 
-MediaFrame MediaSource::frame(std::int64_t index, int level) const {
-  // Metadata is generic across source types: one-shot objects (image/text)
-  // report a zero frame interval, which zeroes media_time and duration, and
-  // their frame_count of 1 pins index to 0 via the range check inside
-  // synthesize_payload().
-  MediaFrame f;
-  f.index = index;
-  f.media_time = frame_interval() * index;
-  f.duration = frame_interval();
-  f.quality_level = level;
-  f.payload = synthesize_payload(index, level);
-  return f;
-}
-
 SharedFrame MediaSource::shared_frame(std::int64_t index, int level,
                                       FrameCache* cache) const {
   SharedFrame f;

@@ -12,9 +12,12 @@
 
 namespace hyms::media {
 
-/// A media frame whose body is a shared immutable payload (see FramePayload):
-/// the zero-copy sibling of MediaFrame. Metadata is per-request; the body may
-/// be shared with the frame cache and any number of concurrent sessions.
+/// One access unit of a media stream: a video frame, an audio block, or a
+/// whole image. `media_time` is presentation time relative to the stream's
+/// own start (the playout scheduler adds the scenario STARTIME). The body is
+/// a shared immutable payload (see FramePayload): metadata is per-request,
+/// and the body may be shared with the frame cache and any number of
+/// concurrent sessions.
 struct SharedFrame {
   std::int64_t index = 0;
   Time media_time;
@@ -44,7 +47,8 @@ class MediaSource {
   [[nodiscard]] virtual double bitrate_bps(int level) const = 0;
 
   /// Payload size of frame `index` at `level` WITHOUT synthesizing it —
-  /// exactly frame(index, level).payload.size(). Preconditions: valid range.
+  /// exactly synthesize_payload(index, level).size(). Preconditions: valid
+  /// range.
   [[nodiscard]] virtual std::size_t frame_bytes(std::int64_t index,
                                                 int level) const = 0;
   /// Synthesize just the payload bytes of frame `index` at `level`.
@@ -60,9 +64,6 @@ class MediaSource {
            static_cast<std::uint64_t>(source_hash());
   }
 
-  /// Generate frame `index` encoded at `level` (owned payload copy).
-  /// Preconditions: valid range.
-  [[nodiscard]] MediaFrame frame(std::int64_t index, int level) const;
   /// Frame `index` at `level` with a shared payload body: served from
   /// `cache` when given (synthesis happens at most once per key across every
   /// session sharing the cache), freshly synthesized otherwise. The payload

@@ -363,15 +363,13 @@ void FaultInjector::flush_telemetry() {
   if (hub == nullptr) return;
   const Stats total = stats();
   auto& m = hub->metrics();
-  m.set(m.gauge("fault/injected"), static_cast<double>(total.injected));
-  m.set(m.gauge("fault/link_flaps"), static_cast<double>(total.link_flaps));
-  m.set(m.gauge("fault/bandwidth_collapses"),
+  m.set("fault/injected", static_cast<double>(total.injected));
+  m.set("fault/link_flaps", static_cast<double>(total.link_flaps));
+  m.set("fault/bandwidth_collapses",
         static_cast<double>(total.bandwidth_collapses));
-  m.set(m.gauge("fault/burst_episodes"),
-        static_cast<double>(total.burst_episodes));
-  m.set(m.gauge("fault/partitions"), static_cast<double>(total.partitions));
-  m.set(m.gauge("fault/server_crashes"),
-        static_cast<double>(total.server_crashes));
+  m.set("fault/burst_episodes", static_cast<double>(total.burst_episodes));
+  m.set("fault/partitions", static_cast<double>(total.partitions));
+  m.set("fault/server_crashes", static_cast<double>(total.server_crashes));
 }
 
 }  // namespace hyms::net

@@ -383,24 +383,20 @@ void Link::flush_telemetry() {
   drain_transit(sim_.now());
   auto& m = hub->metrics();
   const std::string prefix = "link/" + name_ + "/";
-  m.set(m.gauge(prefix + "offered"), static_cast<double>(stats_.offered));
-  m.set(m.gauge(prefix + "delivered"), static_cast<double>(stats_.delivered));
-  m.set(m.gauge(prefix + "dropped_queue"),
-        static_cast<double>(stats_.dropped_queue));
-  m.set(m.gauge(prefix + "dropped_loss"),
-        static_cast<double>(stats_.dropped_loss));
-  m.set(m.gauge(prefix + "dropped_down"),
-        static_cast<double>(stats_.dropped_down));
-  m.set(m.gauge(prefix + "bytes_delivered"),
+  m.set(prefix + "offered", static_cast<double>(stats_.offered));
+  m.set(prefix + "delivered", static_cast<double>(stats_.delivered));
+  m.set(prefix + "dropped_queue", static_cast<double>(stats_.dropped_queue));
+  m.set(prefix + "dropped_loss", static_cast<double>(stats_.dropped_loss));
+  m.set(prefix + "dropped_down", static_cast<double>(stats_.dropped_down));
+  m.set(prefix + "bytes_delivered",
         static_cast<double>(stats_.bytes_delivered));
   const double elapsed_s = sim_.now().to_seconds();
   const double utilization =
       elapsed_s > 0.0 ? static_cast<double>(stats_.bytes_delivered) * 8.0 /
                             (params_.bandwidth_bps * elapsed_s)
                       : 0.0;
-  m.set(m.gauge(prefix + "utilization"), utilization);
-  m.set(m.gauge(prefix + "queue_delay_ms_p95"),
-        stats_.queueing_delay_ms.percentile(95));
+  m.set(prefix + "utilization", utilization);
+  m.set(prefix + "queue_delay_ms_p95", stats_.queueing_delay_ms.percentile(95));
 }
 
 }  // namespace hyms::net

@@ -234,22 +234,8 @@ void Network::send_train(Endpoint src, Endpoint dst,
   payloads.clear();
   Node& node = *nodes_[src.node];
   if (dst.node == src.node) {
-    // Node-local burst: no link to cross, hand the train to the socket in
-    // one callback (per-packet delivery stats preserved).
-    DatagramSocket* sock = socket_for(node, dst.port);
-    if (sock == nullptr) {
-      shard.stats.dropped_no_socket += static_cast<std::int64_t>(scratch.size());
-      LOG_TRACE << "no socket at " << node.name << ":" << dst.port;
-      for (auto& pkt : scratch) shard.pool.release(std::move(pkt.payload));
-      scratch.clear();
-      return;
-    }
-    shard.stats.delivered += static_cast<std::int64_t>(scratch.size());
-    for (auto& pkt : scratch) {
-      shard.end_to_end_delay_ms.add((sim.now() - pkt.injected_at).to_ms());
-    }
-    sock->deliver_train(scratch);
-    for (auto& pkt : scratch) shard.pool.release(std::move(pkt.payload));
+    // Node-local burst: no link to cross, deliver each packet in order.
+    for (auto& pkt : scratch) deliver_local(node, std::move(pkt));
     scratch.clear();
     return;
   }
@@ -283,18 +269,16 @@ void Network::flush_telemetry() {
   if (hub == nullptr) return;
   const Stats total = stats();
   auto& m = hub->metrics();
-  m.set(m.gauge("net/sent"), static_cast<double>(total.sent));
-  m.set(m.gauge("net/delivered"), static_cast<double>(total.delivered));
-  m.set(m.gauge("net/dropped_no_route"),
-        static_cast<double>(total.dropped_no_route));
-  m.set(m.gauge("net/dropped_no_socket"),
-        static_cast<double>(total.dropped_no_socket));
+  m.set("net/sent", static_cast<double>(total.sent));
+  m.set("net/delivered", static_cast<double>(total.delivered));
+  m.set("net/dropped_no_route", static_cast<double>(total.dropped_no_route));
+  m.set("net/dropped_no_socket", static_cast<double>(total.dropped_no_socket));
   util::Sampler delay_ms;
   for (const Shard& shard : shards_) {
     delay_ms.merge_from(shard.end_to_end_delay_ms);
   }
-  m.set(m.gauge("net/e2e_delay_ms_p50"), delay_ms.percentile(50));
-  m.set(m.gauge("net/e2e_delay_ms_p95"), delay_ms.percentile(95));
+  m.set("net/e2e_delay_ms_p50", delay_ms.percentile(50));
+  m.set("net/e2e_delay_ms_p95", delay_ms.percentile(95));
   for (auto& node : nodes_) {
     for (auto& link : node->out_links) link->flush_telemetry();
   }

@@ -22,7 +22,6 @@ class Network;
 class DatagramSocket {
  public:
   using ReceiveFn = std::function<void(const Packet&)>;
-  using TrainFn = std::function<void(const std::vector<Packet>&)>;
 
   DatagramSocket(Network& net, Endpoint local) : net_(net), local_(local) {}
   DatagramSocket(const DatagramSocket&) = delete;
@@ -30,10 +29,6 @@ class DatagramSocket {
 
   void send(Endpoint dst, Payload payload);
   void set_receiver(ReceiveFn fn) { on_receive_ = std::move(fn); }
-  /// Optional batch receiver: a train arriving in one burst is handed over
-  /// whole (one callback, no per-fragment dispatch). Without one installed,
-  /// trains degrade to per-packet receive callbacks.
-  void set_train_receiver(TrainFn fn) { on_train_ = std::move(fn); }
   [[nodiscard]] Endpoint local() const { return local_; }
 
  private:
@@ -41,18 +36,10 @@ class DatagramSocket {
   void deliver(const Packet& pkt) {
     if (on_receive_) on_receive_(pkt);
   }
-  void deliver_train(const std::vector<Packet>& train) {
-    if (on_train_) {
-      on_train_(train);
-      return;
-    }
-    for (const Packet& pkt : train) deliver(pkt);
-  }
 
   Network& net_;
   Endpoint local_;
   ReceiveFn on_receive_;
-  TrainFn on_train_;
 };
 
 /// The emulated internetwork: hosts and routers joined by Links, static
@@ -122,8 +109,9 @@ class Network {
   /// Inject a back-to-back burst from src to one destination: routes once,
   /// stamps sequential packet ids (identical ids and order to k send()
   /// calls), and hands the whole train to the first-hop link's batched path
-  /// — or, for node-local traffic, to the socket's train receiver. Consumes
-  /// the payloads; the caller's vector is cleared but keeps its capacity.
+  /// — or, for node-local traffic, delivers each packet in order as send()
+  /// would. Consumes the payloads; the caller's vector is cleared but keeps
+  /// its capacity.
   void send_train(Endpoint src, Endpoint dst, std::vector<Payload>& payloads);
 
   /// Fault injection: take the links touching `node` (both directions)

@@ -161,15 +161,12 @@ void RtpSender::flush_telemetry() {
       (params_.label.empty() ? "rtp/sender/" + std::to_string(params_.ssrc)
                              : params_.label) +
       "/";
-  m.set(m.gauge(prefix + "frames_sent"),
-        static_cast<double>(stats_.frames_sent));
-  m.set(m.gauge(prefix + "packets_sent"),
-        static_cast<double>(stats_.packets_sent));
-  m.set(m.gauge(prefix + "octets_sent"),
-        static_cast<double>(stats_.octets_sent));
-  m.set(m.gauge(prefix + "reports_received"),
+  m.set(prefix + "frames_sent", static_cast<double>(stats_.frames_sent));
+  m.set(prefix + "packets_sent", static_cast<double>(stats_.packets_sent));
+  m.set(prefix + "octets_sent", static_cast<double>(stats_.octets_sent));
+  m.set(prefix + "reports_received",
         static_cast<double>(stats_.reports_received));
-  m.set(m.gauge(prefix + "last_rtt_ms"), stats_.last_rtt_ms);
+  m.set(prefix + "last_rtt_ms", stats_.last_rtt_ms);
 }
 
 // --- RtpReceiver -------------------------------------------------------------
@@ -191,8 +188,6 @@ RtpReceiver::RtpReceiver(net::Network& net, net::NodeId node,
   }
   rtp_socket_ = &net_.bind(node, rtp_port,
                            [this](const net::Packet& pkt) { on_rtp(pkt); });
-  rtp_socket_->set_train_receiver(
-      [this](const std::vector<net::Packet>& train) { on_rtp_train(train); });
   rtcp_socket_ =
       &net_.bind(node, 0, [this](const net::Packet& pkt) { on_rtcp(pkt); });
   rr_timer_ = std::make_unique<sim::PeriodicTimer>(
@@ -258,10 +253,6 @@ void RtpReceiver::on_rtp(const net::Packet& pkt) {
     if (on_frame_) on_frame_(frame);
   }
   evict_stale(now);
-}
-
-void RtpReceiver::on_rtp_train(const std::vector<net::Packet>& train) {
-  for (const net::Packet& pkt : train) on_rtp(pkt);
 }
 
 RtpReceiver::Assembly& RtpReceiver::assembly_for(std::uint32_t rtp_ts,
@@ -418,17 +409,16 @@ void RtpReceiver::flush_telemetry() {
            ? "rtp/receiver/" + std::to_string(params_.local_ssrc)
            : params_.label) +
       "/";
-  m.set(m.gauge(prefix + "packets_received"),
+  m.set(prefix + "packets_received",
         static_cast<double>(stats_.packets_received));
-  m.set(m.gauge(prefix + "frames_delivered"),
+  m.set(prefix + "frames_delivered",
         static_cast<double>(stats_.frames_delivered));
-  m.set(m.gauge(prefix + "frames_incomplete"),
+  m.set(prefix + "frames_incomplete",
         static_cast<double>(stats_.frames_incomplete));
-  m.set(m.gauge(prefix + "reports_sent"),
-        static_cast<double>(stats_.reports_sent));
-  m.set(m.gauge(prefix + "packets_lost"),
+  m.set(prefix + "reports_sent", static_cast<double>(stats_.reports_sent));
+  m.set(prefix + "packets_lost",
         static_cast<double>(stats_.packets_lost_cumulative));
-  m.set(m.gauge(prefix + "jitter_ms"), stats_.jitter_ms);
+  m.set(prefix + "jitter_ms", stats_.jitter_ms);
 }
 
 }  // namespace hyms::rtp

@@ -169,11 +169,6 @@ class RtpReceiver {
   RtpReceiver& operator=(const RtpReceiver&) = delete;
 
   void set_on_frame(FrameFn fn) { on_frame_ = std::move(fn); }
-  /// Batch entry point: process every fragment of an arriving packet train
-  /// (one callback from the network instead of one per fragment). Identical
-  /// per-fragment statistics, jitter updates and reassembly behaviour to k
-  /// individual deliveries. Registered as the RTP socket's train receiver.
-  void on_rtp_train(const std::vector<net::Packet>& train);
   void set_extra_metrics(MetricsFn fn) { extra_metrics_ = std::move(fn); }
   /// Install the stream's media clock (learned during stream setup). Must be
   /// called before the first RTP packet arrives — timestamp mapping and the

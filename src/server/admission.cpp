@@ -270,20 +270,17 @@ void AdmissionControl::flush_telemetry() {
   auto* hub = sim_->telemetry();
   if (hub == nullptr) return;
   auto& m = hub->metrics();
-  m.set(m.gauge("server/admission/admitted"), static_cast<double>(admitted_));
-  m.set(m.gauge("server/admission/rejected"), static_cast<double>(rejected_));
-  m.set(m.gauge("server/admission/reserved_bps"), reserved_);
-  m.set(m.gauge("server/admission/degraded"), static_cast<double>(degraded_));
-  m.set(m.gauge("server/admission/queued"),
-        static_cast<double>(queued_total_));
-  m.set(m.gauge("server/admission/queue_grants"),
-        static_cast<double>(queue_grants_));
-  m.set(m.gauge("server/admission/queue_timeouts"),
+  m.set("server/admission/admitted", static_cast<double>(admitted_));
+  m.set("server/admission/rejected", static_cast<double>(rejected_));
+  m.set("server/admission/reserved_bps", reserved_);
+  m.set("server/admission/degraded", static_cast<double>(degraded_));
+  m.set("server/admission/queued", static_cast<double>(queued_total_));
+  m.set("server/admission/queue_grants", static_cast<double>(queue_grants_));
+  m.set("server/admission/queue_timeouts",
         static_cast<double>(queue_timeouts_));
-  m.set(m.gauge("server/admission/waiters_failed"),
+  m.set("server/admission/waiters_failed",
         static_cast<double>(waiters_failed_));
-  m.set(m.gauge("server/admission/queue_depth"),
-        static_cast<double>(waiters_.size()));
+  m.set("server/admission/queue_depth", static_cast<double>(waiters_.size()));
 }
 
 void AdmissionControl::release(const std::string& key) {

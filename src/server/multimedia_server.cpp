@@ -935,9 +935,9 @@ void MultimediaServer::flush_telemetry() {
   if (auto* hub = sim_.telemetry()) {
     auto& m = hub->metrics();
     const std::string prefix = "server/" + config_.name + "/";
-    m.set(m.gauge(prefix + "plan_cache_hits"),
+    m.set(prefix + "plan_cache_hits",
           static_cast<double>(stats_.plan_cache_hits));
-    m.set(m.gauge(prefix + "plan_cache_misses"),
+    m.set(prefix + "plan_cache_misses",
           static_cast<double>(stats_.plan_cache_misses));
     if (config_.frame_cache) {
       config_.frame_cache->flush_telemetry(m, prefix + "frame_cache/");

@@ -186,12 +186,11 @@ void ServerQosManager::flush_telemetry() {
   auto* hub = sim_.telemetry();
   if (hub == nullptr) return;
   auto& m = hub->metrics();
-  m.set(m.gauge("server/qos/reports"), static_cast<double>(stats_.reports));
-  m.set(m.gauge("server/qos/bad_reports"),
-        static_cast<double>(stats_.bad_reports));
-  m.set(m.gauge("server/qos/degrades"), static_cast<double>(stats_.degrades));
-  m.set(m.gauge("server/qos/upgrades"), static_cast<double>(stats_.upgrades));
-  m.set(m.gauge("server/qos/stops"), static_cast<double>(stats_.stops));
+  m.set("server/qos/reports", static_cast<double>(stats_.reports));
+  m.set("server/qos/bad_reports", static_cast<double>(stats_.bad_reports));
+  m.set("server/qos/degrades", static_cast<double>(stats_.degrades));
+  m.set("server/qos/upgrades", static_cast<double>(stats_.upgrades));
+  m.set("server/qos/stops", static_cast<double>(stats_.stops));
 }
 
 }  // namespace hyms::server

@@ -261,10 +261,8 @@ void MediaStreamSession::flush_telemetry() {
   if (hub == nullptr) return;
   auto& m = hub->metrics();
   const std::string prefix = "server/stream/" + spec_.id + "/";
-  m.set(m.gauge(prefix + "frames_sent"),
-        static_cast<double>(stats_.frames_sent));
-  m.set(m.gauge(prefix + "level"),
-        static_cast<double>(converter_.current_level()));
+  m.set(prefix + "frames_sent", static_cast<double>(stats_.frames_sent));
+  m.set(prefix + "level", static_cast<double>(converter_.current_level()));
   if (sender_) sender_->flush_telemetry();
 }
 

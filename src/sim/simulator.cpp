@@ -128,11 +128,11 @@ void Simulator::run() {
 void Simulator::flush_telemetry() {
   if (telemetry_ == nullptr) return;
   auto& m = telemetry_->metrics();
-  m.set(m.gauge("sim/events_executed"), static_cast<double>(executed_));
-  m.set(m.gauge("sim/events_cancelled"), static_cast<double>(cancelled_));
-  m.set(m.gauge("sim/events_queued"), static_cast<double>(live_count_));
-  m.set(m.gauge("sim/heap_peak"), static_cast<double>(heap_peak_));
-  m.set(m.gauge("sim/now_ms"), now_.to_ms());
+  m.set("sim/events_executed", static_cast<double>(executed_));
+  m.set("sim/events_cancelled", static_cast<double>(cancelled_));
+  m.set("sim/events_queued", static_cast<double>(live_count_));
+  m.set("sim/heap_peak", static_cast<double>(heap_peak_));
+  m.set("sim/now_ms", now_.to_ms());
 }
 
 void Simulator::run_until(Time deadline) {

@@ -95,9 +95,9 @@ class Simulator {
 
   /// Install (or remove, with nullptr) the run's telemetry hub. Non-owning.
   /// Install it immediately after constructing the Simulator — components
-  /// intern their metric ids and trace tracks in their constructors, through
-  /// this pointer. With no hub installed every instrumentation site costs
-  /// one null-check branch.
+  /// intern their trace tracks in their constructors, through this pointer.
+  /// With no hub installed every instrumentation site costs one null-check
+  /// branch.
   void set_telemetry(telemetry::Hub* hub) { telemetry_ = hub; }
   [[nodiscard]] telemetry::Hub* telemetry() const { return telemetry_; }
 

@@ -1,8 +1,9 @@
 #include "telemetry/qoe.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
+
+#include "util/stats.hpp"
 
 namespace hyms::telemetry {
 namespace {
@@ -53,16 +54,6 @@ void append_stat(std::string& out, std::string_view key, const SloStat& s) {
   out += buf;
 }
 
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
-}
-
 }  // namespace
 
 std::string_view to_string(QoeOutcome outcome) {
@@ -80,9 +71,9 @@ SloStat slo_stat(std::vector<double> values) {
   stat.samples = values.size();
   if (values.empty()) return stat;
   std::sort(values.begin(), values.end());
-  stat.p50 = percentile(values, 0.50);
-  stat.p95 = percentile(values, 0.95);
-  stat.p99 = percentile(values, 0.99);
+  stat.p50 = util::percentile_of_sorted(values, 50);
+  stat.p95 = util::percentile_of_sorted(values, 95);
+  stat.p99 = util::percentile_of_sorted(values, 99);
   stat.max = values.back();
   double sum = 0.0;
   for (const double v : values) sum += v;
@@ -381,14 +372,6 @@ void QoeCollector::merge_from(const QoeCollector& other) {
   for (const RingEntry& e : chronological(other.world_)) {
     push(world_, e.ts_us, e.text);
   }
-}
-
-void QoeCollector::reset() {
-  records_.clear();
-  index_.clear();
-  rings_.clear();
-  sealed_.clear();
-  world_ = Ring{};
 }
 
 }  // namespace hyms::telemetry

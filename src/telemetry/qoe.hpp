@@ -138,7 +138,6 @@ class QoeCollector {
   [[nodiscard]] std::string to_json(const SloTargets& targets = {}) const;
 
   void merge_from(const QoeCollector& other);
-  void reset();
 
  private:
   struct RingEntry {

@@ -9,16 +9,16 @@
 
 namespace hyms::telemetry {
 
-/// The telemetry plane of one simulated run: a MetricsRegistry (aggregates)
-/// plus a SpanTracer (timeline). A Hub is installed on a sim::Simulator via
-/// set_telemetry(); every component reaches it through its simulator
-/// reference, so the disabled configuration (no hub installed) costs exactly
-/// one null-check branch per call site, and no component needs a telemetry
-/// constructor parameter.
+/// The telemetry plane of one simulated run: a MetricsRegistry (end-of-run
+/// gauges), a SpanTracer (timeline) and a QoeCollector (per-session QoE). A
+/// Hub is installed on a sim::Simulator via set_telemetry(); every component
+/// reaches it through its simulator reference, so the disabled configuration
+/// (no hub installed) costs exactly one null-check branch per call site, and
+/// no component needs a telemetry constructor parameter.
 ///
 /// Install the hub right after constructing the Simulator, before building
-/// the network/deployment: components intern their tracks and metric ids in
-/// their constructors.
+/// the network/deployment: components intern their trace tracks in their
+/// constructors.
 ///
 /// Recording is passive — it never schedules simulator events — so a traced
 /// run is event-for-event identical to an untraced one.
@@ -31,8 +31,8 @@ class Hub {
   [[nodiscard]] QoeCollector& qoe() { return qoe_; }
   [[nodiscard]] const QoeCollector& qoe() const { return qoe_; }
 
-  /// Convenience toggle mirrored onto the tracer; metric updates are cheap
-  /// enough that they are always on while a hub is installed.
+  /// Convenience toggle mirrored onto the tracer. Metrics need none: they
+  /// are written once, by the flush at the end of a run.
   void set_tracing(bool enabled) { tracer_.set_enabled(enabled); }
   [[nodiscard]] bool tracing() const { return tracer_.enabled(); }
 
@@ -41,12 +41,6 @@ class Hub {
   bool write_trace_json(const std::string& path) const;
   /// Write the metric table as CSV to `path`.
   bool write_metrics_csv(const std::string& path) const;
-
-  void reset() {
-    metrics_.reset();
-    tracer_.reset();
-    qoe_.reset();
-  }
 
  private:
   MetricsRegistry metrics_;

@@ -1,35 +1,16 @@
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 namespace hyms::util {
 
-/// Streaming mean/variance/min/max (Welford). Used for per-stream delay and
-/// jitter accounting where storing every sample would be wasteful.
-class OnlineStats {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::int64_t count() const { return count_; }
-  [[nodiscard]] double mean() const { return count_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
-  void merge(const OnlineStats& other);
-  void reset() { *this = OnlineStats{}; }
-
- private:
-  std::int64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
+/// Percentile `p` in [0,100] of an ascending-sorted sample, by linear
+/// interpolation between closest ranks: rank p/100 * (n-1), so p50 of {1,2}
+/// is 1.5 (numpy's default). 0 for an empty sample.
+[[nodiscard]] double percentile_of_sorted(std::span<const double> sorted,
+                                          double p);
 
 /// Sample-retaining collector for exact percentiles; the bench harnesses
 /// report p50/p95/p99 rows from this.
@@ -41,10 +22,9 @@ class Sampler {
   }
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
-  /// Percentile in [0,100] by linear interpolation between closest ranks.
+  /// percentile_of_sorted() over the samples (sorted on demand).
   [[nodiscard]] double percentile(double p) const;
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
   /// Append every sample from `other` (exact percentiles over the union;
   /// insertion order is irrelevant — percentile() sorts).
@@ -53,7 +33,6 @@ class Sampler {
                     other.samples_.end());
     sorted_ = false;
   }
-  void reset() { samples_.clear(); }
 
  private:
   mutable std::vector<double> samples_;

@@ -121,6 +121,29 @@ TEST(SendTrainTest, TrainSplitByQueueOverflow) {
   EXPECT_EQ(link->stats().dropped_queue, 2);
 }
 
+TEST(SendTrainTest, NodeLocalTrainDeliversEachPacketInOrder) {
+  sim::Simulator sim(7);
+  net::Network net(sim);
+  const auto a = net.add_host("a");
+  std::vector<std::uint8_t> seen;
+  net.bind(a, 50, [&](const net::Packet& pkt) {
+    seen.push_back(pkt.payload.front());
+  });
+  const std::size_t pooled_before = net.payload_pool().size();
+
+  std::vector<net::Payload> train;
+  for (std::uint8_t i = 0; i < 5; ++i) train.push_back(net::Payload(100, i));
+  net.send_train(net::Endpoint{a, 9}, net::Endpoint{a, 50}, train);
+
+  // No link to cross: delivery is immediate, in offer order, and every
+  // buffer goes back to the pool once its callback has returned.
+  EXPECT_EQ(seen, (std::vector<std::uint8_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sim.queued(), 0u);
+  EXPECT_EQ(net.stats().sent, 5);
+  EXPECT_EQ(net.stats().delivered, 5);
+  EXPECT_EQ(net.payload_pool().size(), pooled_before + 5);
+}
+
 // Same seed, same topology, same traffic — the only difference is the
 // batching flag. Arrival timestamps, packet ids and loss outcomes must match
 // exactly (the per-link RNG streams draw in offer order on both paths).

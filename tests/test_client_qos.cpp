@@ -79,20 +79,6 @@ TEST_F(ClientQosTest, MetricsFlowThroughReceiverReports) {
   EXPECT_EQ(seen[2].first, "incomplete");
 }
 
-TEST_F(ClientQosTest, ConfigDisablesMetrics) {
-  ClientQosManager::Config config;
-  config.report_jitter = false;
-  config.report_incomplete = false;
-  ClientQosManager manager(config);
-  buffer::MediaBuffer buffer("A", {});
-  rtp::RtpReceiver::Params rp;
-  rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
-  manager.attach(reg_.intern("A"), &buffer, &receiver);
-  const auto metrics = manager.metrics_for(reg_.find("A"));
-  ASSERT_EQ(metrics.size(), 1u);
-  EXPECT_EQ(metrics[0].first, "buffer_ms");
-}
-
 TEST_F(ClientQosTest, AggregatesAcrossStreams) {
   buffer::MediaBuffer audio("A", {});
   buffer::MediaBuffer video("V", {});

@@ -172,41 +172,42 @@ TEST(VideoSourceTest, FrameCountAndTimes) {
   VideoProfile profile;
   VideoSource source("video:mpeg:test", profile, Time::sec(4));
   EXPECT_EQ(source.frame_count(), 100);  // 4s * 25fps
-  const auto f = source.frame(10, 0);
+  const auto f = source.shared_frame(10, 0);
   EXPECT_EQ(f.media_time, Time::msec(400));
   EXPECT_EQ(f.duration, Time::msec(40));
-  EXPECT_TRUE(verify_frame_payload(f.payload).has_value());
+  EXPECT_TRUE(verify_frame_payload(*f.payload).has_value());
 }
 
 TEST(VideoSourceTest, DeterministicFrames) {
   VideoProfile profile;
   VideoSource a("video:mpeg:same", profile, Time::sec(2));
   VideoSource b("video:mpeg:same", profile, Time::sec(2));
-  EXPECT_EQ(a.frame(7, 1).payload, b.frame(7, 1).payload);
+  EXPECT_EQ(*a.shared_frame(7, 1).payload, *b.shared_frame(7, 1).payload);
 }
 
 TEST(VideoSourceTest, LevelsShrinkFrames) {
   VideoProfile profile;
   VideoSource source("video:mpeg:test", profile, Time::sec(2));
-  EXPECT_GT(source.frame(1, 0).payload.size(),
-            source.frame(1, profile.level_count() - 1).payload.size());
+  EXPECT_GT(source.shared_frame(1, 0).payload->size(),
+            source.shared_frame(1, profile.level_count() - 1).payload->size());
 }
 
 TEST(VideoSourceTest, OutOfRangeThrows) {
   VideoProfile profile;
   VideoSource source("v", profile, Time::sec(1));
-  EXPECT_THROW(source.frame(-1, 0), std::out_of_range);
-  EXPECT_THROW(source.frame(source.frame_count(), 0), std::out_of_range);
-  EXPECT_THROW(source.frame(0, 99), std::out_of_range);
+  EXPECT_THROW((void)source.shared_frame(-1, 0), std::out_of_range);
+  EXPECT_THROW((void)source.shared_frame(source.frame_count(), 0),
+               std::out_of_range);
+  EXPECT_THROW((void)source.shared_frame(0, 99), std::out_of_range);
 }
 
 TEST(AudioSourceTest, BlocksAndVerification) {
   AudioProfile profile;
   AudioSource source("audio:pcm:test", profile, Time::sec(2));
   EXPECT_EQ(source.frame_count(), 50);  // 2s / 40ms
-  const auto f = source.frame(49, 0);
+  const auto f = source.shared_frame(49, 0);
   EXPECT_EQ(f.media_time, Time::msec(49 * 40));
-  const auto meta = verify_frame_payload(f.payload);
+  const auto meta = verify_frame_payload(*f.payload);
   ASSERT_TRUE(meta.has_value());
   EXPECT_EQ(meta->index, 49);
 }
@@ -216,15 +217,15 @@ TEST(ImageSourceTest, SingleFrame) {
   ImageSource source("image:jpeg:pic", profile);
   EXPECT_EQ(source.frame_count(), 1);
   EXPECT_EQ(source.duration(), Time::zero());
-  const auto f = source.frame(0, 0);
-  EXPECT_EQ(f.payload.size(), profile.bytes(0));
-  EXPECT_THROW(source.frame(1, 0), std::out_of_range);
+  const auto f = source.shared_frame(0, 0);
+  EXPECT_EQ(f.payload->size(), profile.bytes(0));
+  EXPECT_THROW((void)source.shared_frame(1, 0), std::out_of_range);
 }
 
 TEST(TextSourceTest, CarriesContentVerbatim) {
   TextSource source("text:plain:doc", "hello world");
-  const auto f = source.frame(0, 0);
-  EXPECT_EQ(std::string(f.payload.begin(), f.payload.end()), "hello world");
+  const auto f = source.shared_frame(0, 0);
+  EXPECT_EQ(std::string(f.payload->begin(), f.payload->end()), "hello world");
   EXPECT_EQ(source.level_count(), 1);
 }
 
@@ -241,8 +242,8 @@ TEST_P(AudioFormatSweep, LadderMonotoneAndFramesVerify) {
       EXPECT_LT(source.bitrate_bps(level), source.bitrate_bps(level - 1));
       EXPECT_LT(profile.frame_bytes(level), profile.frame_bytes(level - 1));
     }
-    const auto frame = source.frame(0, level);
-    const auto meta = verify_frame_payload(frame.payload);
+    const auto frame = source.shared_frame(0, level);
+    const auto meta = verify_frame_payload(*frame.payload);
     ASSERT_TRUE(meta.has_value());
     EXPECT_EQ(meta->quality_level, level);
   }
@@ -262,8 +263,8 @@ TEST_P(ImageFormatSweep, QualityLaddersShrinkBytes) {
   for (int level = 1; level < source.level_count(); ++level) {
     EXPECT_LT(profile.bytes(level), profile.bytes(level - 1));
   }
-  const auto frame = source.frame(0, source.level_count() - 1);
-  EXPECT_TRUE(verify_frame_payload(frame.payload).has_value());
+  const auto frame = source.shared_frame(0, source.level_count() - 1);
+  EXPECT_TRUE(verify_frame_payload(*frame.payload).has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, ImageFormatSweep,
@@ -284,8 +285,8 @@ TEST_P(VideoFormatSweep, GopStructureHoldsAtEveryLevel) {
               profile.frame_bytes(level, 1));
     EXPECT_EQ(profile.frame_bytes(level, 0),
               profile.frame_bytes(level, profile.gop_size));
-    const auto frame = source.frame(3, level);
-    EXPECT_TRUE(verify_frame_payload(frame.payload).has_value());
+    const auto frame = source.shared_frame(3, level);
+    EXPECT_TRUE(verify_frame_payload(*frame.payload).has_value());
   }
 }
 

@@ -531,7 +531,7 @@ TEST_F(RtpSessionFixture, FractionLostReflectsLoss) {
   rtp::RtpSender sender(net_, a_, receiver.rtp_endpoint(), net::Endpoint{}, sp);
   receiver.set_sender_rtcp(sender.rtcp_endpoint());
 
-  util::OnlineStats fractions;
+  util::Sampler fractions;
   sender.set_on_feedback([&](const rtp::ReceiverFeedback& fb) {
     fractions.add(fb.fraction_lost());
   });
