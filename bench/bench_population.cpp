@@ -128,6 +128,11 @@ int main(int argc, char** argv) try {
       .toggle("--overload", overload)
       .toggle("--json", json)
       .parse(argc, argv);
+  // run_population sees --partitions only at the first partitioned run;
+  // reject it before the sequential leg runs and prints.
+  if (partitions < 1) {
+    throw std::invalid_argument("population: partitions >= 1");
+  }
   bench::warn_if_debug_build("bench_population");
 
   const unsigned hw = bench::hardware_threads();

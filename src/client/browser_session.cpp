@@ -60,12 +60,6 @@ BrowserSession::BrowserSession(net::Network& net, net::NodeId node,
       jitter_rng_(util::Rng(net.sim_at(node).seed()).fork(0xBAC0FFull ^ node)),
       trace_id_(config_.trace_id) {}
 
-BrowserSession::~BrowserSession() {
-  sim_.cancel(request_timer_);
-  sim_.cancel(liveness_timer_);
-  sim_.cancel(reconnect_timer_);
-}
-
 void BrowserSession::log_event(const std::string& what) {
   events_.push_back(sim_.now().str() + " " + what);
   if (trace_id_ != 0) {
@@ -203,36 +197,22 @@ void BrowserSession::open_connection() {
 
 void BrowserSession::arm_request_timer() {
   if (!config_.recovery.enabled) return;
-  sim_.cancel(request_timer_);
-  request_timer_ =
-      sim_.schedule_after(config_.recovery.request_timeout, [this] {
-        request_timer_ = sim::kNoEvent;
-        begin_recovery("control request timed out after " +
-                       config_.recovery.request_timeout.str());
-      });
-}
-
-void BrowserSession::disarm_request_timer() {
-  sim_.cancel(request_timer_);
-  request_timer_ = sim::kNoEvent;
+  request_timer_.arm_after(config_.recovery.request_timeout, [this] {
+    begin_recovery("control request timed out after " +
+                   config_.recovery.request_timeout.str());
+  });
 }
 
 void BrowserSession::cancel_recovery_timers() {
-  disarm_request_timer();
-  sim_.cancel(liveness_timer_);
-  liveness_timer_ = sim::kNoEvent;
-  sim_.cancel(reconnect_timer_);
-  reconnect_timer_ = sim::kNoEvent;
+  request_timer_.cancel();
+  liveness_timer_.cancel();
+  reconnect_timer_.cancel();
 }
 
 void BrowserSession::arm_liveness_monitor() {
   if (!config_.recovery.enabled) return;
-  sim_.cancel(liveness_timer_);
-  liveness_timer_ =
-      sim_.schedule_after(config_.recovery.liveness_poll, [this] {
-        liveness_timer_ = sim::kNoEvent;
-        check_liveness();
-      });
+  liveness_timer_.arm_after(config_.recovery.liveness_poll,
+                            [this] { check_liveness(); });
 }
 
 void BrowserSession::check_liveness() {
@@ -273,7 +253,7 @@ Time BrowserSession::backoff_for(const RecoveryConfig& rc, int attempt,
 
 void BrowserSession::begin_recovery(const std::string& why) {
   if (!config_.recovery.enabled || state_ == ClientState::kClosed) return;
-  if (recovering_ && reconnect_timer_ != sim::kNoEvent) return;  // backing off
+  if (recovering_ && reconnect_timer_.armed()) return;  // backing off
   cancel_recovery_timers();
   log_event("recovery: " + why);
   recovering_ = true;
@@ -305,10 +285,7 @@ void BrowserSession::schedule_reconnect(const std::string& why) {
   log_event("recovery: attempt " + std::to_string(recovery_attempts_) + "/" +
             std::to_string(config_.recovery.max_attempts) + " in " +
             delay.str());
-  reconnect_timer_ = sim_.schedule_after(delay, [this] {
-    reconnect_timer_ = sim::kNoEvent;
-    reconnect();
-  });
+  reconnect_timer_.arm_after(delay, [this] { reconnect(); });
 }
 
 void BrowserSession::reconnect() {
@@ -375,10 +352,7 @@ void BrowserSession::handle_admission_rejection(const proto::DocumentReply& m) {
             std::to_string(admission_retries_) + "/" +
             std::to_string(kMaxAdmissionRetries) + " in " + delay.str());
   if (on_admission_retry_) on_admission_retry_(admission_retries_);
-  const std::string doc = pending_document_;
-  sim_.cancel(reconnect_timer_);
-  reconnect_timer_ = sim_.schedule_after(delay, [this, doc] {
-    reconnect_timer_ = sim::kNoEvent;
+  reconnect_timer_.arm_after(delay, [this, doc = pending_document_] {
     if (state_ == ClientState::kBrowsing && !doc.empty()) {
       request_document(doc);
     }
@@ -581,7 +555,7 @@ void BrowserSession::reload_document() {
 }
 
 void BrowserSession::on_frame(std::vector<std::uint8_t> frame) {
-  disarm_request_timer();  // any inbound frame proves the server alive
+  request_timer_.cancel();  // any inbound frame proves the server alive
   telemetry::TraceContext ctx;
   auto decoded = proto::decode(frame, &ctx);
   if (!decoded.ok()) {

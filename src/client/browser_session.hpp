@@ -100,7 +100,6 @@ class BrowserSession {
 
   BrowserSession(net::Network& net, net::NodeId node, net::Endpoint server,
                  Config config);
-  ~BrowserSession();
   BrowserSession(const BrowserSession&) = delete;
   BrowserSession& operator=(const BrowserSession&) = delete;
 
@@ -235,7 +234,6 @@ class BrowserSession {
   // --- outage tolerance --------------------------------------------------------
   void open_connection();
   void arm_request_timer();
-  void disarm_request_timer();
   void arm_liveness_monitor();
   void check_liveness();
   void begin_recovery(const std::string& why);
@@ -325,9 +323,11 @@ class BrowserSession {
   SessionOutcome outcome_ = SessionOutcome::kPending;
   std::int64_t progress_marker_ = -1;  // liveness: last observed progress
   Time progress_stamp_;                // when the marker last advanced
-  sim::EventId request_timer_ = sim::kNoEvent;
-  sim::EventId liveness_timer_ = sim::kNoEvent;
-  sim::EventId reconnect_timer_ = sim::kNoEvent;
+  sim::Timer request_timer_{sim_};
+  sim::Timer liveness_timer_{sim_};
+  /// Reconnect backoff and admission retries share it: arming one replaces
+  /// the other.
+  sim::Timer reconnect_timer_{sim_};
 
   // Causal tracing + QoE (trace id assignment is always on and part of
   // deterministic simulation state; recording is gated on the hub).

@@ -31,11 +31,9 @@ PlayoutScheduler::PlayoutScheduler(sim::Simulator& sim,
     n_rebuffer_ = tr.name("rebuffer");
     n_playout_start_ = tr.name("playout_start");
   }
-}
-
-PlayoutScheduler::~PlayoutScheduler() {
-  for (auto& process : processes_) sim_.cancel(process->tick_event);
-  for (auto event : link_events_) sim_.cancel(event);
+  for (std::size_t i = 0; i < scenario_.links.size(); ++i) {
+    link_timers_.push_back(std::make_unique<sim::Timer>(sim_));
+  }
 }
 
 void PlayoutScheduler::attach_stream(const std::string& stream_id,
@@ -47,7 +45,7 @@ void PlayoutScheduler::attach_stream(const std::string& stream_id,
     LOG_WARN << "attach_stream: '" << stream_id << "' not in scenario";
     return;
   }
-  auto process = std::make_unique<Process>();
+  auto process = std::make_unique<Process>(sim_);
   process->spec = *spec;
   process->buffer = buffer;
   process->mode = default_mode(spec->type);
@@ -72,7 +70,6 @@ void PlayoutScheduler::attach_stream(const std::string& stream_id,
         return p->spec.id < id;
       });
   if (pos != processes_.end() && (*pos)->spec.id == stream_id) {
-    sim_.cancel((*pos)->tick_event);
     *pos = std::move(process);
   } else {
     processes_.insert(pos, std::move(process));
@@ -102,7 +99,7 @@ void PlayoutScheduler::start() {
   // or later — the same prefill window a fresh start gets.
   epoch_ = sim_.now() + config_.initial_delay - config_.start_offset;
   for (auto& process : processes_) start_process(*process);
-  schedule_timed_links();
+  arm_timed_links();
   check_all_finished();  // every stream may predate the resume offset
 }
 
@@ -138,22 +135,24 @@ void PlayoutScheduler::start_process(Process& p) {
     // stays visible); play as soon as the refetched payload can be here.
     first_tick = sim_.now() + config_.initial_delay;
   }
-  p.tick_event = sim_.schedule_at(first_tick, [this, proc = &p] {
-    proc->tick_event = sim::kNoEvent;
-    tick(*proc);
-  });
+  arm_tick(p, first_tick);
 }
 
-void PlayoutScheduler::schedule_timed_links() {
-  for (const auto& link : scenario_.links) {
-    if (!link.at) continue;
-    if (epoch_ + *link.at <= sim_.now()) continue;  // fired before the outage
-    link_events_.push_back(
-        sim_.schedule_at(epoch_ + *link.at, [this, link] {
-          // Paused presentations hold their links; a *finished* one still
-          // fires them — the "writer's way" advances past the last stream.
-          if (!paused_ && on_timed_link_) on_timed_link_(link);
-        }));
+void PlayoutScheduler::arm_tick(Process& p, Time when) {
+  p.tick.arm_at(when, [this, proc = &p] { tick(*proc); });
+}
+
+void PlayoutScheduler::arm_timed_links() {
+  for (std::size_t i = 0; i < scenario_.links.size(); ++i) {
+    const LinkSpec& link = scenario_.links[i];
+    // A link at or before now fired already (before a pause, or before the
+    // outage a recovered presentation resumes from).
+    if (!link.at || epoch_ + *link.at <= sim_.now()) continue;
+    link_timers_[i]->arm_at(epoch_ + *link.at, [this, link] {
+      // Paused presentations hold their links; a *finished* one still
+      // fires them — the "writer's way" advances past the last stream.
+      if (!paused_ && on_timed_link_) on_timed_link_(link);
+    });
   }
 }
 
@@ -162,12 +161,8 @@ void PlayoutScheduler::pause() {
   paused_ = true;
   running_ = false;
   pause_began_ = sim_.now();
-  for (auto& process : processes_) {
-    sim_.cancel(process->tick_event);
-    process->tick_event = sim::kNoEvent;
-  }
-  for (auto event : link_events_) sim_.cancel(event);
-  link_events_.clear();
+  for (auto& process : processes_) process->tick.cancel();
+  for (auto& timer : link_timers_) timer->cancel();
 }
 
 void PlayoutScheduler::resume() {
@@ -177,22 +172,9 @@ void PlayoutScheduler::resume() {
   epoch_ += sim_.now() - pause_began_;  // scenario clock stood still
   for (auto& process : processes_) {
     if (process->done || !process->active) continue;
-    Process* proc = process.get();
-    proc->tick_event = sim_.schedule_after(proc->interval, [this, proc] {
-      proc->tick_event = sim::kNoEvent;
-      tick(*proc);
-    });
+    arm_tick(*process, sim_.now() + process->interval);
   }
-  // Re-arm timed links that have not fired yet.
-  for (const auto& link : scenario_.links) {
-    if (!link.at) continue;
-    const Time when = epoch_ + *link.at;
-    if (when > sim_.now()) {
-      link_events_.push_back(sim_.schedule_at(when, [this, link] {
-        if (!paused_ && on_timed_link_) on_timed_link_(link);
-      }));
-    }
-  }
+  arm_timed_links();
 }
 
 bool PlayoutScheduler::finished() const {
@@ -258,7 +240,6 @@ void PlayoutScheduler::enforce_sync(Process& p) {
 
   Process* leader = group.front();
   Process* laggard = group.front();
-  std::string first_id = group.front()->spec.id;
   for (Process* member : group) {
     if (member->content_position() > leader->content_position()) {
       leader = member;
@@ -266,13 +247,13 @@ void PlayoutScheduler::enforce_sync(Process& p) {
     if (member->content_position() < laggard->content_position()) {
       laggard = member;
     }
-    first_id = std::min(first_id, member->spec.id);
   }
   const Time skew = leader->content_position() - laggard->content_position();
-  // One member (the lexicographically first) samples the group's skew so
-  // each group tick contributes a single data point. Sampling happens even
-  // with the controller disabled — the E4 experiment compares exactly that.
-  if (p.spec.id == first_id) {
+  // One member (the lexicographically first: processes_ is sorted by stream
+  // id, so that is group.front()) samples the group's skew so each group
+  // tick contributes a single data point. Sampling happens even with the
+  // controller disabled — the E4 experiment compares exactly that.
+  if (&p == group.front()) {
     trace_.note_skew(p.group_id, skew);
     if (auto* hub = sim_.telemetry()) {
       hub->tracer().counter(p.group_track, n_skew_ms_, sim_.now(),
@@ -403,11 +384,7 @@ void PlayoutScheduler::tick(Process& p) {
     return;  // pause() cancelled every tick; resume re-arms them
   }
 
-  Process* proc = &p;
-  p.tick_event = sim_.schedule_after(p.interval, [this, proc] {
-    proc->tick_event = sim::kNoEvent;
-    tick(*proc);
-  });
+  arm_tick(p, sim_.now() + p.interval);
 }
 
 void PlayoutScheduler::begin_rebuffer(Process& p) {
@@ -420,9 +397,9 @@ void PlayoutScheduler::begin_rebuffer(Process& p) {
   }
   pause();
   const Time began = sim_.now();
-  Process* proc = &p;
-  sim_.schedule_after(config_.rebuffer.poll,
-                      [this, proc, began] { poll_rebuffer(proc, began); });
+  rebuffer_poll_.arm_after(config_.rebuffer.poll, [this, proc = &p, began] {
+    poll_rebuffer(proc, began);
+  });
 }
 
 void PlayoutScheduler::poll_rebuffer(Process* p, Time began) {
@@ -440,15 +417,14 @@ void PlayoutScheduler::poll_rebuffer(Process* p, Time began) {
     resume();
     return;
   }
-  sim_.schedule_after(config_.rebuffer.poll,
-                      [this, p, began] { poll_rebuffer(p, began); });
+  rebuffer_poll_.arm_after(config_.rebuffer.poll,
+                           [this, p, began] { poll_rebuffer(p, began); });
 }
 
 void PlayoutScheduler::finish_process(Process& p) {
   p.done = true;
   p.active = false;
-  sim_.cancel(p.tick_event);
-  p.tick_event = sim::kNoEvent;
+  p.tick.cancel();
   check_all_finished();
 }
 

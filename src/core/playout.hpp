@@ -89,7 +89,6 @@ class PlayoutScheduler {
 
   PlayoutScheduler(sim::Simulator& sim, PresentationScenario scenario,
                    PlayoutConfig config);
-  ~PlayoutScheduler();
   PlayoutScheduler(const PlayoutScheduler&) = delete;
   PlayoutScheduler& operator=(const PlayoutScheduler&) = delete;
 
@@ -135,6 +134,8 @@ class PlayoutScheduler {
 
  private:
   struct Process {
+    explicit Process(sim::Simulator& sim) : tick(sim) {}
+
     StreamSpec spec;
     buffer::MediaBuffer* buffer = nullptr;
     ConsumeMode mode = ConsumeMode::kDeadlineDriven;
@@ -145,7 +146,7 @@ class PlayoutScheduler {
     int starved_run = 0;              // consecutive slots without fresh data
     bool active = false;
     bool done = false;
-    sim::EventId tick_event = sim::kNoEvent;
+    sim::Timer tick;
     /// Trace ids cached at attach time so the per-slot path never touches a
     /// string: dense PlayoutTrace ids + the telemetry track (if tracing).
     StreamId trace_id = kInvalidStreamId;
@@ -161,6 +162,7 @@ class PlayoutScheduler {
   [[nodiscard]] const Process* find_process(std::string_view stream_id) const;
   void start_process(Process& p);
   void tick(Process& p);
+  void arm_tick(Process& p, Time when);
   void begin_rebuffer(Process& p);
   void poll_rebuffer(Process* p, Time began);
   void play_slot(Process& p, PlayoutAction action);
@@ -168,7 +170,9 @@ class PlayoutScheduler {
   void enforce_sync(Process& p);
   void finish_process(Process& p);
   void check_all_finished();
-  void schedule_timed_links();
+  /// Arm every timed link still ahead of the scenario clock (on start, and
+  /// again on resume: pause() cancels them).
+  void arm_timed_links();
 
   sim::Simulator& sim_;
   PresentationScenario scenario_;
@@ -187,7 +191,10 @@ class PlayoutScheduler {
   /// iterated in, which tie-breaks simultaneous ticks and sync decisions),
   /// so per-tick group scans walk a contiguous array.
   std::vector<std::unique_ptr<Process>> processes_;
-  std::vector<sim::EventId> link_events_;
+  /// One per scenario link, in scenario order (links without a time stay
+  /// unarmed).
+  std::vector<std::unique_ptr<sim::Timer>> link_timers_;
+  sim::Timer rebuffer_poll_{sim_};
   PlayoutTrace trace_;
   Time epoch_;
   bool started_ = false;

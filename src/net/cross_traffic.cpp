@@ -18,26 +18,20 @@ CbrSource::CbrSource(Network& net, NodeId from, Endpoint to, double rate_bps,
       socket_(&net.bind(from, 0, [](const Packet&) {})),
       rate_bps_(rate_bps), packet_bytes_(packet_bytes) {}
 
-CbrSource::~CbrSource() {
-  stop();
-  net_.unbind(socket_->local());
-}
+CbrSource::~CbrSource() { net_.unbind(socket_->local()); }
 
 void CbrSource::start() {
-  if (next_ == sim::kNoEvent) emit();
+  if (!emit_timer_.armed()) emit();
 }
 
-void CbrSource::stop() {
-  sim_.cancel(next_);
-  next_ = sim::kNoEvent;
-}
+void CbrSource::stop() { emit_timer_.cancel(); }
 
 void CbrSource::emit() {
   socket_->send(to_, Payload(packet_bytes_, 0xCB));
   ++sent_;
   const double interval_s =
       static_cast<double>(packet_bytes_) * 8.0 / rate_bps_;
-  next_ = sim_.schedule_after(Time::seconds(interval_s), [this] { emit(); });
+  emit_timer_.arm_after(Time::seconds(interval_s), [this] { emit(); });
 }
 
 OnOffSource::OnOffSource(Network& net, NodeId from, Endpoint to, Params params,
@@ -47,16 +41,13 @@ OnOffSource::OnOffSource(Network& net, NodeId from, Endpoint to, Params params,
       params_(params), rng_(net.sim_at(from).rng().fork(seed_stream)),
       on_(params.start_in_on) {}
 
-OnOffSource::~OnOffSource() {
-  stop();
-  net_.unbind(socket_->local());
-}
+OnOffSource::~OnOffSource() { net_.unbind(socket_->local()); }
 
 void OnOffSource::start() {
   if (running_) return;
   running_ = true;
   if (on_) emit();
-  next_toggle_ = sim_.schedule_after(
+  toggle_timer_.arm_after(
       Time::seconds(rng_.exponential(
           (on_ ? params_.mean_on : params_.mean_off).to_seconds())),
       [this] { toggle(); });
@@ -64,10 +55,8 @@ void OnOffSource::start() {
 
 void OnOffSource::stop() {
   running_ = false;
-  sim_.cancel(next_packet_);
-  sim_.cancel(next_toggle_);
-  next_packet_ = sim::kNoEvent;
-  next_toggle_ = sim::kNoEvent;
+  emit_timer_.cancel();
+  toggle_timer_.cancel();
 }
 
 void OnOffSource::toggle() {
@@ -76,10 +65,9 @@ void OnOffSource::toggle() {
   if (on_) {
     emit();
   } else {
-    sim_.cancel(next_packet_);
-    next_packet_ = sim::kNoEvent;
+    emit_timer_.cancel();
   }
-  next_toggle_ = sim_.schedule_after(
+  toggle_timer_.arm_after(
       Time::seconds(rng_.exponential(
           (on_ ? params_.mean_on : params_.mean_off).to_seconds())),
       [this] { toggle(); });
@@ -91,8 +79,7 @@ void OnOffSource::emit() {
   ++sent_;
   const double interval_s =
       static_cast<double>(params_.packet_bytes) * 8.0 / params_.rate_bps_on;
-  next_packet_ =
-      sim_.schedule_after(Time::seconds(interval_s), [this] { emit(); });
+  emit_timer_.arm_after(Time::seconds(interval_s), [this] { emit(); });
 }
 
 }  // namespace hyms::net

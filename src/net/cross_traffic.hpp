@@ -44,7 +44,7 @@ class CbrSource {
   DatagramSocket* socket_;
   double rate_bps_;
   std::size_t packet_bytes_;
-  sim::EventId next_ = sim::kNoEvent;
+  sim::Timer emit_timer_{sim_};
   std::int64_t sent_ = 0;
 };
 
@@ -82,8 +82,8 @@ class OnOffSource {
   util::Rng rng_;
   bool on_ = false;
   bool running_ = false;
-  sim::EventId next_packet_ = sim::kNoEvent;
-  sim::EventId next_toggle_ = sim::kNoEvent;
+  sim::Timer emit_timer_{sim_};
+  sim::Timer toggle_timer_{sim_};
   std::int64_t sent_ = 0;
 };
 

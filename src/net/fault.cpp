@@ -182,8 +182,6 @@ FaultInjector::FaultInjector(Network& net)
   }
 }
 
-FaultInjector::~FaultInjector() { cancel(); }
-
 int FaultInjector::register_server(std::string name, NodeId node,
                                    std::function<void()> crash,
                                    std::function<void()> restart) {
@@ -221,16 +219,13 @@ void FaultInjector::arm(const FaultPlan& plan) {
     for (std::uint32_t p = 0; p < partitions; ++p) {
       auto& sim = net_.sim_of_partition(p);
       const Time at = std::max(event.at, sim.now());
-      pending_.emplace_back(
-          p, sim.schedule_at(at, [this, event, p] { apply(event, p); }));
+      pending_.push_back(std::make_unique<sim::Timer>(sim));
+      pending_.back()->arm_at(at, [this, event, p] { apply(event, p); });
     }
   }
 }
 
-void FaultInjector::cancel() {
-  for (const auto& [p, id] : pending_) net_.sim_of_partition(p).cancel(id);
-  pending_.clear();
-}
+void FaultInjector::cancel() { pending_.clear(); }
 
 void FaultInjector::for_link_pair_on(NodeId a, NodeId b, std::uint32_t p,
                                      const std::function<void(Link&)>& fn) {

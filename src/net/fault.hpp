@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -106,7 +107,6 @@ struct ChaosProfile {
 class FaultInjector {
  public:
   explicit FaultInjector(Network& net);
-  ~FaultInjector();
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
@@ -163,7 +163,7 @@ class FaultInjector {
 
   Network& net_;
   std::vector<ServerHooks> servers_;
-  std::vector<std::pair<std::uint32_t, sim::EventId>> pending_;
+  std::vector<std::unique_ptr<sim::Timer>> pending_;  // per (event, partition)
   std::vector<Stats> stats_shards_;  // indexed by partition; summed by stats()
 
   telemetry::TrackId trace_track_ = telemetry::kInvalidTraceId;

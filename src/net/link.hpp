@@ -193,6 +193,7 @@ class Link {
   std::size_t calendar_head_ = 0;
   std::vector<TransitEntry> transit_;
   std::size_t transit_head_ = 0;
+  // Raw, not a sim::Timer: make_conduit picks deliver_sim_ after construction.
   sim::EventId chain_event_ = sim::kNoEvent;
 
   // State of a conduit (exec_ is null for ordinary links). deliver_sim_ owns

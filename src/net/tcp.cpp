@@ -104,7 +104,6 @@ StreamConnection::StreamConnection(Network& net, NodeId local_node,
 }
 
 StreamConnection::~StreamConnection() {
-  sim_.cancel(rto_event_);
   if (socket_ != nullptr) net_.unbind(local_);
 }
 
@@ -144,8 +143,7 @@ void StreamConnection::teardown(CloseReason reason) {
   if (state_ == State::kClosed) return;
   close_reason_ = reason;
   state_ = State::kClosed;
-  sim_.cancel(rto_event_);
-  rto_event_ = sim::kNoEvent;
+  rto_timer_.cancel();
   if (on_close_ && !close_notified_) {
     close_notified_ = true;
     on_close_();
@@ -173,8 +171,7 @@ void StreamConnection::on_datagram(const Packet& pkt) {
       irs_ = seg.seq;
       rcv_nxt_ = seg.seq + 1;
       snd_una_ = seg.ack;
-      sim_.cancel(rto_event_);
-      rto_event_ = sim::kNoEvent;
+      rto_timer_.cancel();
       rtt_probe_active_ = false;
       send_ack();
       enter_established();
@@ -244,8 +241,7 @@ void StreamConnection::handle_ack(std::uint32_t ack) {
         return;
       }
       state_ = State::kFinSent;
-      sim_.cancel(rto_event_);
-      rto_event_ = sim::kNoEvent;
+      rto_timer_.cancel();
     } else {
       arm_rto();
     }
@@ -386,11 +382,7 @@ void StreamConnection::send_ack() {
 }
 
 void StreamConnection::arm_rto() {
-  sim_.cancel(rto_event_);
-  rto_event_ = sim_.schedule_after(rto_, [this] {
-    rto_event_ = sim::kNoEvent;
-    on_rto();
-  });
+  rto_timer_.arm_after(rto_, [this] { on_rto(); });
 }
 
 void StreamConnection::on_rto() {

@@ -23,7 +23,6 @@ struct TcpParams {
   Time max_rto = Time::sec(60);
   Time initial_rto = Time::sec(1);
   std::size_t initial_cwnd_segments = 2;
-  std::size_t receive_window_bytes = 256 * 1024;
   int max_syn_retries = 6;
   /// Consecutive data-path RTO expiries tolerated before the connection
   /// gives up and closes with CloseReason::kRetransmitTimeout (the "R2"
@@ -167,7 +166,7 @@ class StreamConnection {
   double srtt_ms_ = 0.0;
   double rttvar_ms_ = 0.0;
   Time rto_;
-  sim::EventId rto_event_ = sim::kNoEvent;
+  sim::Timer rto_timer_{sim_};
   int syn_retries_ = 0;
   int consecutive_rtos_ = 0;  // data-path RTOs since the last new-data ACK
   CloseReason close_reason_ = CloseReason::kNone;

@@ -28,12 +28,10 @@ RtpSender::RtpSender(net::Network& net, net::NodeId node,
   rtcp_socket_ =
       &net_.bind(node, 0, [this](const net::Packet& pkt) { on_rtcp(pkt); });
   next_seq_ = static_cast<std::uint16_t>(sim_.rng().next_u64());
-  sr_timer_ = std::make_unique<sim::PeriodicTimer>(
-      sim_, params_.sr_interval, [this] { emit_sender_report(); });
+  arm_sender_report();
 }
 
 RtpSender::~RtpSender() {
-  sr_timer_.reset();
   net_.unbind(rtp_socket_->local());
   net_.unbind(rtcp_socket_->local());
 }
@@ -100,6 +98,13 @@ void RtpSender::emit_sender_report() {
   auto wire = pool_->acquire();
   serialize_rtcp_into(compound, wire);
   rtcp_socket_->send(remote_rtcp_, std::move(wire));
+}
+
+void RtpSender::arm_sender_report() {
+  sr_timer_.arm_after(params_.sr_interval, [this] {
+    emit_sender_report();
+    arm_sender_report();
+  });
 }
 
 void RtpSender::send_bye(const std::string& reason) {
@@ -190,12 +195,10 @@ RtpReceiver::RtpReceiver(net::Network& net, net::NodeId node,
                            [this](const net::Packet& pkt) { on_rtp(pkt); });
   rtcp_socket_ =
       &net_.bind(node, 0, [this](const net::Packet& pkt) { on_rtcp(pkt); });
-  rr_timer_ = std::make_unique<sim::PeriodicTimer>(
-      sim_, params_.rr_interval, [this] { emit_receiver_report(); });
+  arm_receiver_report();
 }
 
 RtpReceiver::~RtpReceiver() {
-  rr_timer_.reset();
   net_.unbind(rtp_socket_->local());
   net_.unbind(rtcp_socket_->local());
 }
@@ -338,6 +341,13 @@ void RtpReceiver::on_rtcp(const net::Packet& pkt) {
         ((ntp / 1'000'000) << 16) | (((ntp % 1'000'000) << 16) / 1'000'000));
     last_sr_arrival_ = sim_.now();
   }
+}
+
+void RtpReceiver::arm_receiver_report() {
+  rr_timer_.arm_after(params_.rr_interval, [this] {
+    emit_receiver_report();
+    arm_receiver_report();
+  });
 }
 
 void RtpReceiver::emit_receiver_report() {

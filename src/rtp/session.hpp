@@ -109,6 +109,8 @@ class RtpSender {
 
  private:
   void emit_sender_report();
+  /// Emit a sender report every sr_interval, re-arming after each report.
+  void arm_sender_report();
   void on_rtcp(const net::Packet& pkt);
 
   net::Network& net_;
@@ -123,7 +125,7 @@ class RtpSender {
   std::uint32_t last_rtp_ts_ = 0;
   std::vector<net::Payload> train_;  // pending wire buffers awaiting flush()
   FeedbackFn on_feedback_;
-  std::unique_ptr<sim::PeriodicTimer> sr_timer_;
+  sim::Timer sr_timer_{sim_};
   Stats stats_;
 
   telemetry::TrackId trace_track_ = telemetry::kInvalidTraceId;
@@ -226,6 +228,8 @@ class RtpReceiver {
   void update_jitter(std::uint32_t rtp_ts, Time arrival);
   void evict_stale(Time now);
   void emit_receiver_report();
+  /// Emit a receiver report every rr_interval, re-arming after each report.
+  void arm_receiver_report();
 
   net::Network& net_;
   sim::Simulator& sim_;
@@ -236,7 +240,7 @@ class RtpReceiver {
   net::DatagramSocket* rtcp_socket_;
   FrameFn on_frame_;
   MetricsFn extra_metrics_;
-  std::unique_ptr<sim::PeriodicTimer> rr_timer_;
+  sim::Timer rr_timer_{sim_};
 
   // RFC 1889 appendix A receiver state.
   bool seq_initialized_ = false;

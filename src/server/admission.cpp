@@ -33,10 +33,6 @@ AdmissionControl::AdmissionControl(Config config, sim::Simulator* sim)
   }
 }
 
-AdmissionControl::~AdmissionControl() {
-  for (Waiter& waiter : waiters_) cancel_deadline(waiter);
-}
-
 double AdmissionControl::load_excluding(const std::string& key) const {
   double current = reserved_;
   if (auto it = reservations_.find(key); it != reservations_.end()) {
@@ -100,10 +96,9 @@ AdmissionControl::Decision AdmissionControl::evaluate(const Request& request,
     waiter.request = request;
     waiter.hooks = std::move(hooks);
     waiter.enqueued_at = sim_->now();
-    const std::uint64_t seq = waiter.seq;
-    waiter.deadline =
-        sim_->schedule_at(sim_->now() + config_.queue_deadline,
-                          [this, seq] { expire_waiter(seq); });
+    waiter.deadline = std::make_unique<sim::Timer>(*sim_);
+    waiter.deadline->arm_at(sim_->now() + config_.queue_deadline,
+                            [this, seq = waiter.seq] { expire_waiter(seq); });
     // Priority order (tier priority desc, arrival seq asc); the new waiter
     // has the largest seq, so it lands after its priority class.
     const auto pos = std::upper_bound(
@@ -175,9 +170,8 @@ void AdmissionControl::drain_queue() {
                         std::to_string((sim_->now() - head.enqueued_at).us()) +
                         " us";
     }
-    cancel_deadline(head);
     grants.emplace_back(std::move(head.hooks), std::move(decision));
-    waiters_.erase(waiters_.begin());
+    waiters_.erase(waiters_.begin());  // cancels its deadline
   }
   draining_ = false;
   if (!grants.empty()) note_queue_depth();
@@ -210,19 +204,11 @@ void AdmissionControl::expire_waiter(std::uint64_t seq) {
   if (waiter.hooks.on_timeout) waiter.hooks.on_timeout(decision);
 }
 
-void AdmissionControl::cancel_deadline(Waiter& waiter) {
-  if (sim_ != nullptr && waiter.deadline != sim::kNoEvent) {
-    sim_->cancel(waiter.deadline);
-  }
-  waiter.deadline = sim::kNoEvent;
-}
-
 bool AdmissionControl::cancel_waiter(const std::string& key) {
   const auto it =
       std::find_if(waiters_.begin(), waiters_.end(),
                    [&key](const Waiter& w) { return w.request.key == key; });
   if (it == waiters_.end()) return false;
-  cancel_deadline(*it);
   waiters_.erase(it);
   note_queue_depth();
   return true;
@@ -232,7 +218,7 @@ void AdmissionControl::fail_waiters(const util::Error& error) {
   if (waiters_.empty()) return;
   std::vector<Waiter> failed = std::move(waiters_);
   waiters_.clear();
-  for (Waiter& waiter : failed) cancel_deadline(waiter);
+  for (Waiter& waiter : failed) waiter.deadline->cancel();
   waiters_failed_ += static_cast<std::int64_t>(failed.size());
   note_queue_depth();
   for (Waiter& waiter : failed) {
@@ -296,7 +282,6 @@ void AdmissionControl::release(const std::string& key) {
 }
 
 void AdmissionControl::reset() {
-  for (Waiter& waiter : waiters_) cancel_deadline(waiter);
   waiters_.clear();
   reservations_.clear();
   reserved_ = 0.0;

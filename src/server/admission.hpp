@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -90,7 +91,6 @@ class AdmissionControl {
   /// admit/reject instants on the "server/admission" track — and the event
   /// calendar for queue deadlines (queueing requires a simulator).
   explicit AdmissionControl(Config config, sim::Simulator* sim = nullptr);
-  ~AdmissionControl();
 
   /// Evaluate a request against the ladder: best rung that fits wins
   /// (kAdmitted at rung 0, kDegraded below). Otherwise the request is
@@ -136,7 +136,9 @@ class AdmissionControl {
     Request request;
     WaiterHooks hooks;
     Time enqueued_at = Time::zero();
-    sim::EventId deadline = sim::kNoEvent;
+    /// Held by pointer: waiters move inside the sorted vector, and an armed
+    /// Timer must stay put.
+    std::unique_ptr<sim::Timer> deadline;
   };
 
   /// Reserve the best-fitting ladder rung, or return false. On success
@@ -147,7 +149,6 @@ class AdmissionControl {
   /// priority/FIFO order); invokes on_grant hooks after the mutation.
   void drain_queue();
   void expire_waiter(std::uint64_t seq);
-  void cancel_deadline(Waiter& waiter);
   [[nodiscard]] std::int64_t retry_after_us() const;
   void note_decision(telemetry::NameId which, double demand_bps);
   void note_queue_depth();

@@ -47,12 +47,6 @@ class MultimediaServer::ClientSession {
     });
   }
 
-  ~ClientSession() {
-    sim_.cancel(suspend_event_);
-    sim_.cancel(liveness_event_);
-    if (search_) sim_.cancel(search_->timeout);
-  }
-
   /// Server crash: journal resume facts if mid-presentation, then vanish
   /// without a FIN (the caller destroys us; the client discovers the outage
   /// through its own timeouts).
@@ -81,12 +75,14 @@ class MultimediaServer::ClientSession {
 
  private:
   struct PendingSearch {
+    explicit PendingSearch(sim::Simulator& sim) : timeout(sim) {}
+
     std::uint32_t id = 0;
     proto::SearchReply reply;
     std::size_t awaiting = 0;
     std::vector<std::unique_ptr<net::StreamConnection>> conns;
     std::vector<std::unique_ptr<net::MessageChannel>> chans;
-    sim::EventId timeout = sim::kNoEvent;
+    sim::Timer timeout;
   };
 
   void send(const proto::Message& msg) {
@@ -501,8 +497,7 @@ class MultimediaServer::ClientSession {
     ++server_.stats_.suspends;
     const Time keepalive = server_.config_.suspend_keepalive;
     send(proto::SuspendAck{keepalive.us()});
-    suspend_event_ = sim_.schedule_after(keepalive, [this] {
-      suspend_event_ = sim::kNoEvent;
+    suspend_timer_.arm_after(keepalive, [this] {
       ++server_.stats_.suspend_expiries;
       send(proto::SuspendExpired{});
       teardown();
@@ -515,8 +510,7 @@ class MultimediaServer::ClientSession {
       send(proto::ResumeSessionReply{false, "no suspended session"});
       return;
     }
-    sim_.cancel(suspend_event_);
-    suspend_event_ = sim::kNoEvent;
+    suspend_timer_.cancel();
     state_ = SessionState::kReady;
     send(proto::ResumeSessionReply{true, ""});
   }
@@ -641,10 +635,8 @@ class MultimediaServer::ClientSession {
     server_.admission_.release(session_key_);
     // Every teardown path runs through here: a pending keepalive expiry (or
     // liveness probe) must never fire into a closed/replaced session.
-    sim_.cancel(suspend_event_);
-    suspend_event_ = sim::kNoEvent;
-    sim_.cancel(liveness_event_);
-    liveness_event_ = sim::kNoEvent;
+    suspend_timer_.cancel();
+    liveness_timer_.cancel();
     state_ = SessionState::kClosed;
     server_.schedule_reap();
   }
@@ -655,12 +647,8 @@ class MultimediaServer::ClientSession {
   /// release its admission reservation so re-admission of the recovered
   /// session isn't double-counted against capacity.
   void arm_peer_monitor() {
-    sim_.cancel(liveness_event_);
-    liveness_event_ =
-        sim_.schedule_after(server_.config_.dead_peer_timeout / 2, [this] {
-          liveness_event_ = sim::kNoEvent;
-          check_peer_liveness();
-        });
+    liveness_timer_.arm_after(server_.config_.dead_peer_timeout / 2,
+                              [this] { check_peer_liveness(); });
   }
 
   void check_peer_liveness() {
@@ -691,13 +679,14 @@ class MultimediaServer::ClientSession {
 
   void start_search(const std::string& token) {
     if (search_) {
-      sim_.cancel(search_->timeout);
+      // The old search is destroyed later; its timeout must not fire first.
+      search_->timeout.cancel();
       // Defer destruction of any in-flight peer channels.
       sim_.schedule_after(Time::zero(), [old = search_.release()] {
         delete old;
       });
     }
-    search_ = std::make_unique<PendingSearch>();
+    search_ = std::make_unique<PendingSearch>(sim_);
     search_->id = next_search_id_++;
     for (const auto& name : server_.documents_.search(token)) {
       search_->reply.hits.push_back(proto::SearchHit{name, server_.config_.name});
@@ -724,15 +713,12 @@ class MultimediaServer::ClientSession {
       search_->conns.push_back(std::move(conn));
       search_->chans.push_back(std::move(chan));
     }
-    search_->timeout = sim_.schedule_after(kSearchTimeout, [this] {
-      search_->timeout = sim::kNoEvent;
-      finish_search();
-    });
+    search_->timeout.arm_after(kSearchTimeout, [this] { finish_search(); });
   }
 
   void finish_search() {
     if (!search_) return;
-    sim_.cancel(search_->timeout);
+    search_->timeout.cancel();
     send(search_->reply);
     // We may be inside a peer channel's callback: defer the teardown.
     sim_.schedule_after(Time::zero(),
@@ -753,8 +739,8 @@ class MultimediaServer::ClientSession {
   int granted_video_floor_ = 0;
   int granted_audio_floor_ = 0;
   Time last_peer_activity_;
-  sim::EventId liveness_event_ = sim::kNoEvent;
-  sim::EventId suspend_event_ = sim::kNoEvent;
+  sim::Timer liveness_timer_{sim_};
+  sim::Timer suspend_timer_{sim_};
   std::unique_ptr<PendingSearch> search_;
   std::uint32_t next_search_id_ = 1;
   /// Trace context of the request currently being handled (echoed on every
@@ -856,10 +842,8 @@ void MultimediaServer::restart() {
 }
 
 void MultimediaServer::schedule_reap() {
-  if (reap_scheduled_) return;
-  reap_scheduled_ = true;
-  sim_.schedule_after(Time::zero(), [this] {
-    reap_scheduled_ = false;
+  if (reap_timer_.armed()) return;
+  reap_timer_.arm_after(Time::zero(), [this] {
     std::erase_if(sessions_, [](const std::unique_ptr<ClientSession>& s) {
       return s->reapable();
     });

@@ -239,7 +239,7 @@ class MultimediaServer {
   std::map<std::pair<std::string, std::string>, std::vector<std::string>>
       annotations_;
   std::unordered_map<PlanKey, FlowPlan, PlanKeyHash> plan_cache_;
-  bool reap_scheduled_ = false;
+  sim::Timer reap_timer_{sim_};
   bool crashed_ = false;
   std::vector<JournalEntry> journal_;
   Stats stats_;

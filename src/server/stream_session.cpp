@@ -116,10 +116,7 @@ std::unique_ptr<MediaStreamSession> MediaStreamSession::make_object(
   return session;
 }
 
-MediaStreamSession::~MediaStreamSession() {
-  sim_.cancel(pace_event_);
-  flush_qoe();
-}
+MediaStreamSession::~MediaStreamSession() { flush_qoe(); }
 
 void MediaStreamSession::start_flow() {
   if (stopped_ || !is_rtp()) return;  // object flows wait for the client pull
@@ -149,10 +146,7 @@ void MediaStreamSession::start_flow() {
 }
 
 void MediaStreamSession::schedule_next(Time delay) {
-  pace_event_ = sim_.schedule_after(delay, [this] {
-    pace_event_ = sim::kNoEvent;
-    pace_frame();
-  });
+  pace_timer_.arm_after(delay, [this] { pace_frame(); });
 }
 
 void MediaStreamSession::pace_frame() {
@@ -269,8 +263,7 @@ void MediaStreamSession::flush_telemetry() {
 void MediaStreamSession::pause() {
   if (paused_ || stopped_) return;
   paused_ = true;
-  sim_.cancel(pace_event_);
-  pace_event_ = sim::kNoEvent;
+  pace_timer_.cancel();
 }
 
 void MediaStreamSession::resume() {
@@ -282,8 +275,7 @@ void MediaStreamSession::resume() {
 void MediaStreamSession::stop() {
   if (stopped_) return;
   stopped_ = true;
-  sim_.cancel(pace_event_);
-  pace_event_ = sim::kNoEvent;
+  pace_timer_.cancel();
   end_send_window();
   if (sender_) sender_->send_bye("stream stopped");
 }

@@ -137,7 +137,7 @@ class MediaStreamSession {
   std::uint32_t clock_rate_ = 90'000;
   std::int64_t frame_limit_ = 1;  // frames to send (bounded by DURATION)
   std::int64_t next_frame_ = 0;
-  sim::EventId pace_event_ = sim::kNoEvent;
+  sim::Timer pace_timer_{sim_};
 
   // Object flow state.
   std::unique_ptr<net::StreamListener> listener_;

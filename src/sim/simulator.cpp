@@ -39,6 +39,24 @@ bool Simulator::pending(EventId id) const {
   return s.seq != 0 && s.gen == gen_of(id);
 }
 
+void Timer::arm_at(Time when, EventFn fn) {
+  cancel();
+  fn_ = std::move(fn);
+  id_ = sim_->schedule_at(when, [this] { fire(); });
+}
+
+void Timer::arm_after(Time delay, EventFn fn) {
+  arm_at(sim_->now() + delay, std::move(fn));  // schedule_at clamps to now
+}
+
+void Timer::fire() {
+  id_ = kNoEvent;
+  // The callback may re-arm this Timer or destroy it (with its owner), so
+  // it runs from the stack and nothing here touches `this` afterwards.
+  EventFn fn = std::move(fn_);
+  fn();
+}
+
 std::uint32_t Simulator::acquire_slot() {
   if (free_head_ != kNilSlot) {
     const std::uint32_t index = free_head_;

@@ -196,40 +196,46 @@ class Simulator {
   std::uint64_t seed_ = 0x48594D53u;
 };
 
-/// RAII repeating timer: fires `fn` every `period` until destroyed or
-/// stop()ped. Drives RTCP report emission and buffer monitors.
-class PeriodicTimer {
+/// A re-armable one-shot event, owned by the object it calls back into.
+/// arm_at()/arm_after() replace any pending firing, cancel() drops it, and
+/// the destructor cancels it, so an owner destroyed while its simulator runs
+/// is never called back. The scheduled event captures only this Timer (it
+/// fits InplaceFunction's inline buffer, so arming allocates nothing beyond
+/// what `fn` itself needs); the callback lives here. Firing clears the
+/// pending handle and moves the callback onto the stack before calling it:
+/// a callback may re-arm its own Timer, or destroy the Timer's owner.
+///
+/// Ownership rule: a callback that captures an object which can be destroyed
+/// while its simulator still runs is armed through a Timer member of that
+/// object. A bare Simulator::schedule_* is only for closures whose captures
+/// outlive the run. The simulator must outlive every Timer armed on it.
+class Timer {
  public:
-  PeriodicTimer(Simulator& sim, Time period, EventFn fn)
-      : sim_(sim), period_(period), fn_(std::move(fn)) {
-    arm();
-  }
-  ~PeriodicTimer() { stop(); }
-  PeriodicTimer(const PeriodicTimer&) = delete;
-  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
+  explicit Timer(Simulator& sim) : sim_(&sim) {}
+  ~Timer() { cancel(); }
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
 
-  void stop() {
-    if (event_ != kNoEvent) {
-      sim_.cancel(event_);
-      event_ = kNoEvent;
-    }
+  /// Fire `fn` at `when` (clamped to now), replacing any pending firing.
+  void arm_at(Time when, EventFn fn);
+  /// Fire `fn` after `delay` (negative delays clamp to now), replacing any
+  /// pending firing.
+  void arm_after(Time delay, EventFn fn);
+  /// Drop the pending firing, if any.
+  void cancel() {
+    if (id_ == kNoEvent) return;
+    sim_->cancel(id_);
+    id_ = kNoEvent;
+    fn_.reset();
   }
-  void set_period(Time period) { period_ = period; }
-  [[nodiscard]] Time period() const { return period_; }
+  [[nodiscard]] bool armed() const { return id_ != kNoEvent; }
 
  private:
-  void arm() {
-    event_ = sim_.schedule_after(period_, [this] {
-      event_ = kNoEvent;
-      fn_();
-      arm();
-    });
-  }
+  void fire();
 
-  Simulator& sim_;
-  Time period_;
+  Simulator* sim_;
+  EventId id_ = kNoEvent;
   EventFn fn_;
-  EventId event_ = kNoEvent;
 };
 
 }  // namespace hyms::sim

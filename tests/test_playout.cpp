@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "buffer/media_buffer.hpp"
 #include "core/playout.hpp"
 #include "core/scenario.hpp"
@@ -423,9 +426,12 @@ TEST(PlayoutTest, RebufferingPausesUntilRefilled) {
 
   // Data dries up after frame 10; more arrives steadily from t=2s.
   std::int64_t next = 10;
-  sim::PeriodicTimer feeder(sim, kInterval, [&] {
+  sim::Timer feeder(sim);
+  std::function<void()> feed = [&] {
     if (sim.now() >= Time::sec(2) && next < 100) buf.push(make_frame(next++));
-  });
+    feeder.arm_after(kInterval, [&] { feed(); });
+  };
+  feeder.arm_after(kInterval, [&] { feed(); });
   sim.run_until(Time::sec(20));
 
   const auto& stats = scheduler.trace().stream("A");
@@ -476,6 +482,31 @@ TEST(PlayoutTest, RebufferingDisabledByDefault) {
   sim.run_until(Time::sec(5));
   EXPECT_EQ(scheduler.trace().stream("A").rebuffers, 0);
   EXPECT_GT(scheduler.trace().stream("A").duplicates, 50);
+}
+
+TEST(PlayoutTest, TeardownMidRebufferLeavesNoPendingEvent) {
+  sim::Simulator sim;
+  MediaBuffer buf("A", buffer_config());
+  for (std::int64_t k = 0; k < 10; ++k) buf.push(make_frame(k));
+
+  PlayoutConfig config;
+  config.initial_delay = Time::msec(100);
+  config.rebuffer.enabled = true;
+  config.rebuffer.starvation_ticks = 5;
+  auto scheduler =
+      std::make_unique<PlayoutScheduler>(sim, audio_only(), config);
+  scheduler->attach_stream("A", &buf, kInterval, 100);
+  scheduler->start();
+  // The 10 frames play out by ~0.5 s, five starved slots later the stream
+  // rebuffers, and at 0.8 s it is still polling for a refill.
+  sim.run_until(Time::msec(800));
+  ASSERT_EQ(scheduler->trace().stream("A").rebuffers, 1);
+
+  // A presentation torn down mid-rebuffer (disconnect, outage recovery,
+  // navigation) takes its rebuffer poll with it.
+  scheduler.reset();
+  EXPECT_EQ(sim.queued(), 0u);
+  sim.run_until(Time::sec(5));  // a leaked poll would fire into freed memory
 }
 
 TEST(PlayoutTest, EventRecordingCapturesActions) {

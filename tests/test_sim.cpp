@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -204,49 +206,87 @@ TEST(SimulatorTest, DeterministicTraceForSameSeed) {
   EXPECT_NE(run_once(99), run_once(100));
 }
 
-TEST(PeriodicTimerTest, FiresAtPeriod) {
+TEST(TimerTest, FiresAtDeadline) {
   sim::Simulator sim;
+  sim::Timer timer(sim);
   std::vector<Time> fires;
-  sim::PeriodicTimer timer(sim, Time::msec(10),
-                           [&] { fires.push_back(sim.now()); });
-  sim.run_until(Time::msec(35));
-  ASSERT_EQ(fires.size(), 3u);
-  EXPECT_EQ(fires[0], Time::msec(10));
-  EXPECT_EQ(fires[1], Time::msec(20));
-  EXPECT_EQ(fires[2], Time::msec(30));
+  timer.arm_at(Time::msec(10), [&] { fires.push_back(sim.now()); });
+  EXPECT_TRUE(timer.armed());
+  sim.run();
+  EXPECT_FALSE(timer.armed());
+  timer.arm_after(Time::msec(15), [&] { fires.push_back(sim.now()); });
+  sim.run();
+  EXPECT_EQ(fires, (std::vector<Time>{Time::msec(10), Time::msec(25)}));
 }
 
-TEST(PeriodicTimerTest, StopHalts) {
+TEST(TimerTest, RearmReplacesPendingFiring) {
   sim::Simulator sim;
-  int count = 0;
-  sim::PeriodicTimer timer(sim, Time::msec(10), [&] { ++count; });
-  sim.schedule_at(Time::msec(25), [&] { timer.stop(); });
-  sim.run_until(Time::msec(100));
-  EXPECT_EQ(count, 2);
+  sim::Timer timer(sim);
+  int first = 0;
+  int second = 0;
+  timer.arm_at(Time::msec(10), [&] { ++first; });
+  timer.arm_at(Time::msec(20), [&] { ++second; });
+  EXPECT_EQ(sim.queued(), 1u);
+  sim.run();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(sim.now(), Time::msec(20));
+  EXPECT_EQ(sim.executed(), 1u);
 }
 
-TEST(PeriodicTimerTest, DestructionCancels) {
+TEST(TimerTest, CancelAndDestructionBothCancel) {
   sim::Simulator sim;
   int count = 0;
+  sim::Timer cancelled(sim);
+  cancelled.arm_after(Time::msec(10), [&] { ++count; });
+  cancelled.cancel();
+  EXPECT_FALSE(cancelled.armed());
+  cancelled.cancel();  // idempotent
   {
-    sim::PeriodicTimer timer(sim, Time::msec(10), [&] { ++count; });
+    sim::Timer destroyed(sim);
+    destroyed.arm_after(Time::msec(10), [&] { ++count; });
   }
+  EXPECT_EQ(sim.queued(), 0u);
   sim.run_until(Time::msec(100));
   EXPECT_EQ(count, 0);
+  EXPECT_EQ(sim.cancelled(), 2u);
 }
 
-TEST(PeriodicTimerTest, PeriodChangeTakesEffectNextArm) {
+TEST(TimerTest, CallbackMayRearmItsOwnTimer) {
   sim::Simulator sim;
+  sim::Timer timer(sim);
   std::vector<Time> fires;
-  sim::PeriodicTimer timer(sim, Time::msec(10),
-                           [&] { fires.push_back(sim.now()); });
-  sim.schedule_at(Time::msec(15), [&] { timer.set_period(Time::msec(30)); });
-  sim.run_until(Time::msec(60));
-  // Fires at 10, 20 (already armed with old period), then 50.
-  ASSERT_EQ(fires.size(), 3u);
-  EXPECT_EQ(fires[2], Time::msec(50));
+  std::function<void()> tick = [&] {
+    fires.push_back(sim.now());
+    timer.arm_after(Time::msec(10), [&] { tick(); });
+  };
+  timer.arm_after(Time::msec(10), [&] { tick(); });
+  sim.run_until(Time::msec(35));
+  EXPECT_EQ(fires, (std::vector<Time>{Time::msec(10), Time::msec(20),
+                                      Time::msec(30)}));
+  EXPECT_TRUE(timer.armed());
 }
 
+TEST(TimerTest, CallbackMayDestroyTheTimersOwner) {
+  struct Owner {
+    explicit Owner(sim::Simulator& sim) : timer(sim) {}
+    sim::Timer timer;
+    std::vector<int> payload = std::vector<int>(64, 7);
+  };
+  sim::Simulator sim;
+  auto owner = std::make_unique<Owner>(sim);
+  int seen = 0;
+  // The callback frees the Timer it runs from; under ASan any touch of the
+  // freed Timer after the call reports heap-use-after-free.
+  owner->timer.arm_after(Time::msec(10), [&, raw = owner.get()] {
+    seen = raw->payload[3];
+    owner.reset();
+  });
+  sim.run();
+  EXPECT_EQ(seen, 7);
+  EXPECT_EQ(owner, nullptr);
+  EXPECT_EQ(sim.queued(), 0u);
+}
 
 /// Property: under random schedule/cancel interleavings, every scheduled
 /// event either fires exactly once or was cancelled exactly once, and the

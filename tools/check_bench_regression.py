@@ -7,13 +7,13 @@ Understands two JSON schemas, sniffed per file:
   items_per_second (a single-run file's plain figure stands in) for every
   benchmark in the guarded families present in both files:
   BM_PacketForwarding* (the steady-state batched path, the unbatched
-  reference path, the train path, and the telemetry-on variant) plus the
-  frame-cache pair BM_FrameSynthesis / BM_FrameCacheHit and the
-  client-side frame check BM_FrameVerify. Each benchmark's coefficient of
-  variation is printed; where either file's CV exceeds the budget, the
-  comparison is reported as unresolved, because that spread can hide a
-  slowdown of the budget's size. A median slowdown beyond the budget fails
-  either way.
+  reference path, and the telemetry-on variant), the train path
+  BM_PacketTrainForwarding*, the frame-cache pair BM_FrameSynthesis /
+  BM_FrameCacheHit and the client-side frame check BM_FrameVerify. Each
+  benchmark's coefficient of variation is printed; where either file's CV
+  exceeds the budget, the comparison is reported as unresolved, because
+  that spread can hide a slowdown of the budget's size. A median slowdown
+  beyond the budget fails either way.
 
 - bench_population JSON (context.benchmark == "bench_population"):
   compares events_per_sec for every (partitions, threads) cell present in
@@ -50,8 +50,8 @@ import sys
 from gbench_json import (benchmark_names, cv_percent, describe_cv,
                          median_items_per_second, unresolved)
 
-FAMILY_PREFIXES = ("BM_PacketForwarding", "BM_FrameSynthesis",
-                   "BM_FrameCacheHit", "BM_FrameVerify")
+FAMILY_PREFIXES = ("BM_PacketForwarding", "BM_PacketTrainForwarding",
+                   "BM_FrameSynthesis", "BM_FrameCacheHit", "BM_FrameVerify")
 
 # context.benchmark -> synthetic cell-name prefix
 CELL_SCHEMAS = {
