@@ -94,7 +94,6 @@ void BrowserSession::enter_browsing() {
     ++recoveries_;
     log_event("recovery: session re-established");
   }
-  if (on_browsing_) on_browsing_();
   if (!queued_document_.empty() && state_ == ClientState::kBrowsing) {
     const std::string doc = std::move(queued_document_);
     queued_document_.clear();
@@ -186,7 +185,6 @@ void BrowserSession::open_connection() {
     accumulate_playout_qoe();
     presentation_.reset();
     seal_qoe(outcome_);
-    if (on_closed_) on_closed_();
   });
   transition(ClientState::kConnecting);
   send(proto::ConnectRequest{user_, credential_});
@@ -306,7 +304,6 @@ void BrowserSession::abort_recovery(const std::string& why) {
   conn_.reset();
   fail(util::Error{util::Error::Code::kNetwork,
                    "session aborted: recovery budget exhausted (" + why + ")"});
-  if (on_closed_) on_closed_();
 }
 
 void BrowserSession::finish_presentation() {
@@ -613,7 +610,6 @@ void BrowserSession::handle(const proto::SubscribeReply& m) {
 void BrowserSession::handle(const proto::TopicListReply& m) {
   topics_ = m.documents;
   log_event("topics: " + std::to_string(topics_.size()));
-  if (on_topics_) on_topics_();
 }
 
 void BrowserSession::handle(const proto::DocumentReply& m) {
@@ -692,11 +688,13 @@ void BrowserSession::handle(const proto::DocumentReply& m) {
       [this](const core::LinkSpec& link) {
         log_event("timed link fired -> " + link.target_document);
         // Navigation may tear this presentation down; leave the scheduler's
-        // stack first. The user hook is checked at fire time so it may be
-        // installed after the document started playing.
-        sim_.schedule_after(Time::zero(), [this, link] {
-          if (on_timed_link_) on_timed_link_(link);
-        });
+        // stack first. The user hook is checked at delivery time so it may
+        // be installed after the document started playing.
+        fired_links_.push_back(link);
+        if (!timed_link_timer_.armed()) {
+          timed_link_timer_.arm_after(Time::zero(),
+                                      [this] { follow_fired_links(); });
+        }
       });
   qoe_accumulated_ = false;  // a fresh presentation's playout to account
   if (config_.auto_setup) {
@@ -708,6 +706,15 @@ void BrowserSession::handle(const proto::DocumentReply& m) {
     send(presentation_->prepare_setup(current_document_), setup_ctx);
     arm_request_timer();
   }
+}
+
+void BrowserSession::follow_fired_links() {
+  // Runs from locals: the hook may navigate, or even destroy this session.
+  const std::vector<core::LinkSpec> links = std::move(fired_links_);
+  fired_links_.clear();
+  const auto hook = on_timed_link_;
+  if (!hook) return;
+  for (const core::LinkSpec& link : links) hook(link);
 }
 
 void BrowserSession::handle(const proto::StreamSetupReply& m) {
@@ -750,13 +757,11 @@ void BrowserSession::handle(const proto::SearchReply& m) {
   search_results_ = m.hits;
   search_completed_ = true;
   log_event("search hits: " + std::to_string(m.hits.size()));
-  if (on_search_) on_search_();
 }
 
 void BrowserSession::handle(const proto::SuspendAck& m) {
   transition(ClientState::kSuspended);
   log_event("suspend keepalive " + Time::usec(m.keepalive_us).str());
-  if (on_suspended_) on_suspended_();
 }
 
 void BrowserSession::handle(const proto::SuspendExpired&) {

@@ -190,19 +190,17 @@ class BrowserSession {
   void finalize_qoe();
 
   // --- hooks -------------------------------------------------------------------
-  void set_on_browsing(Notify fn) { on_browsing_ = std::move(fn); }
   void set_on_viewing(Notify fn) { on_viewing_ = std::move(fn); }
   void set_on_presentation_finished(Notify fn) {
     on_presentation_finished_ = std::move(fn);
   }
+  /// Runs just after a timed link fires, off the playout scheduler's stack
+  /// (the hook may navigate, tearing the presentation down). Every link fired
+  /// at one instant reaches it, in firing order.
   void set_on_timed_link(core::PlayoutScheduler::TimedLinkFn fn) {
     on_timed_link_ = std::move(fn);
   }
-  void set_on_search(Notify fn) { on_search_ = std::move(fn); }
-  void set_on_topics(Notify fn) { on_topics_ = std::move(fn); }
   void set_on_error(FailFn fn) { on_error_ = std::move(fn); }
-  void set_on_closed(Notify fn) { on_closed_ = std::move(fn); }
-  void set_on_suspended(Notify fn) { on_suspended_ = std::move(fn); }
   /// The server parked our DocumentRequest in its wait queue (arg: 0-based
   /// queue position).
   void set_on_admission_queued(CountFn fn) {
@@ -230,6 +228,8 @@ class BrowserSession {
     fail(util::Error{util::Error::Code::kProtocol, what});
   }
   void on_frame(std::vector<std::uint8_t> frame);
+  /// Hand the links fired at this instant to the timed-link hook.
+  void follow_fired_links();
 
   // --- outage tolerance --------------------------------------------------------
   void open_connection();
@@ -328,6 +328,10 @@ class BrowserSession {
   /// Reconnect backoff and admission retries share it: arming one replaces
   /// the other.
   sim::Timer reconnect_timer_{sim_};
+  /// Defers follow_fired_links() past the scheduler's stack, once per
+  /// instant however many links fire in it.
+  sim::Timer timed_link_timer_{sim_};
+  std::vector<core::LinkSpec> fired_links_;
 
   // Causal tracing + QoE (trace id assignment is always on and part of
   // deterministic simulation state; recording is gated on the hub).
@@ -338,15 +342,10 @@ class BrowserSession {
   bool startup_recorded_ = false;
   bool qoe_accumulated_ = false;  // current presentation already folded in
 
-  Notify on_browsing_;
   Notify on_viewing_;
   Notify on_presentation_finished_;
   core::PlayoutScheduler::TimedLinkFn on_timed_link_;
-  Notify on_search_;
-  Notify on_topics_;
   FailFn on_error_;
-  Notify on_closed_;
-  Notify on_suspended_;
   CountFn on_admission_queued_;
   CountFn on_admission_retry_;
 };

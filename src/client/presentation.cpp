@@ -8,6 +8,15 @@
 
 namespace hyms::client {
 
+std::vector<std::pair<std::string, double>> qos_metrics(
+    const buffer::MediaBuffer& buffer, const rtp::RtpReceiver& receiver) {
+  return {
+      {"buffer_ms", buffer.occupancy_time().to_ms()},
+      {"jitter_ms", receiver.stats().jitter_ms},
+      {"incomplete", static_cast<double>(receiver.stats().frames_incomplete)},
+  };
+}
+
 PresentationRuntime::PresentationRuntime(net::Network& net, net::NodeId node,
                                          core::PresentationScenario scenario,
                                          Config config)
@@ -33,15 +42,14 @@ proto::StreamSetup PresentationRuntime::prepare_setup(
   setup.time_window_us = config_.time_window.us();
   setup.resume_offset_us = config_.start_offset.us();
 
+  streams_.reserve(scenario_.streams.size());
   for (const auto& spec : scenario_.streams) {
-    auto rt = std::make_unique<StreamRuntime>();
-    rt->id = registry_.intern(spec.id);
-    rt->spec = spec;
+    StreamRuntime& rt = streams_.emplace_back(spec);
     buffer::MediaBuffer::Config bc;
     bc.time_window = config_.time_window;
     bc.low_watermark = config_.low_watermark;
     bc.high_watermark = config_.high_watermark;
-    rt->buffer = std::make_unique<buffer::MediaBuffer>(spec.id, bc);
+    rt.buffer = std::make_unique<buffer::MediaBuffer>(spec.id, bc);
 
     proto::StreamSetup::StreamPort port;
     port.stream_id = spec.id;
@@ -53,14 +61,11 @@ proto::StreamSetup PresentationRuntime::prepare_setup(
       rp.local_ssrc = media::hash_source_name("client/" + spec.id) | 1u;
       rp.rr_interval = config_.rtcp_rr_interval;
       rp.label = "client/" + spec.id + "/rtp";
-      rt->receiver = std::make_unique<rtp::RtpReceiver>(
+      rt.receiver = std::make_unique<rtp::RtpReceiver>(
           net_, node_, 0, net::Endpoint{}, rp);
-      port.rtp_port = rt->receiver->rtp_endpoint().port;
+      port.rtp_port = rt.receiver->rtp_endpoint().port;
     }
     setup.streams.push_back(port);
-    const core::StreamId id = rt->id;
-    streams_.resize(registry_.size());
-    streams_[id] = std::move(rt);
   }
   return setup;
 }
@@ -68,12 +73,12 @@ proto::StreamSetup PresentationRuntime::prepare_setup(
 void PresentationRuntime::activate(const proto::StreamSetupReply& reply,
                                    net::NodeId server_node) {
   for (const auto& info : reply.streams) {
-    const core::StreamId id = registry_.find(info.stream_id);
-    if (id == core::kInvalidStreamId) {
+    StreamRuntime* found = find(info.stream_id);
+    if (found == nullptr) {
       LOG_WARN << "setup reply names unknown stream '" << info.stream_id << "'";
       continue;
     }
-    StreamRuntime& rt = *streams_[id];
+    StreamRuntime& rt = *found;
     rt.frame_interval = Time::usec(info.frame_interval_us);
     rt.frame_count = info.frame_count;
     // Playout length is bounded by the scenario DURATION when present.
@@ -87,9 +92,10 @@ void PresentationRuntime::activate(const proto::StreamSetupReply& reply,
       rt.receiver->set_sender_rtcp(net::Endpoint{
           static_cast<net::NodeId>(info.sender_rtcp_node),
           info.sender_rtcp_port});
-      // The Client QoS Manager supplies the APP("QOSM") metrics that ride
-      // each receiver report (the paper's feedback reports, §4).
-      qos_.attach(rt.id, rt.buffer.get(), rt.receiver.get());
+      rt.receiver->set_extra_metrics(
+          [&buffer = *rt.buffer, &receiver = *rt.receiver] {
+            return qos_metrics(buffer, receiver);
+          });
       StreamRuntime* rt_ptr = &rt;
       rt.receiver->set_on_frame(
           [this, rt_ptr](const rtp::ReceivedFrame& frame) {
@@ -170,21 +176,24 @@ void PresentationRuntime::pause() { scheduler_->pause(); }
 
 void PresentationRuntime::resume() { scheduler_->resume(); }
 
-void PresentationRuntime::disable_stream(core::StreamId id) {
-  if (id >= streams_.size() || streams_[id] == nullptr) return;
-  qos_.detach(id);
-  streams_[id]->receiver.reset();  // stop consuming packets
-  streams_[id]->buffer->clear();
+PresentationRuntime::StreamRuntime* PresentationRuntime::find(
+    std::string_view stream_id) {
+  for (StreamRuntime& rt : streams_) {
+    if (rt.spec.id == stream_id) return &rt;
+  }
+  return nullptr;
 }
 
-buffer::MediaBuffer* PresentationRuntime::buffer(core::StreamId id) {
-  if (id >= streams_.size() || streams_[id] == nullptr) return nullptr;
-  return streams_[id]->buffer.get();
+void PresentationRuntime::disable_stream(std::string_view stream_id) {
+  StreamRuntime* rt = find(stream_id);
+  if (rt == nullptr) return;
+  rt->receiver.reset();  // stop consuming packets
+  rt->buffer->clear();
 }
 
-rtp::RtpReceiver* PresentationRuntime::receiver(core::StreamId id) {
-  if (id >= streams_.size() || streams_[id] == nullptr) return nullptr;
-  return streams_[id]->receiver.get();
+rtp::RtpReceiver* PresentationRuntime::receiver(std::string_view stream_id) {
+  StreamRuntime* rt = find(stream_id);
+  return rt == nullptr ? nullptr : rt->receiver.get();
 }
 
 void PresentationRuntime::flush_telemetry() {
@@ -196,11 +205,10 @@ void PresentationRuntime::flush_telemetry() {
   m.set("client/payload_corruptions",
         static_cast<double>(stats_.payload_corruptions));
   m.set("client/objects_fetched", static_cast<double>(stats_.objects_fetched));
-  for (const auto& rt : streams_) {
-    if (rt == nullptr) continue;
-    if (rt->buffer != nullptr) {
-      const auto& bs = rt->buffer->stats();
-      const std::string prefix = "client/buffer/" + rt->spec.id;
+  for (const StreamRuntime& rt : streams_) {
+    if (rt.buffer != nullptr) {
+      const auto& bs = rt.buffer->stats();
+      const std::string prefix = "client/buffer/" + rt.spec.id;
       m.set(prefix + "/pushed", static_cast<double>(bs.pushed));
       m.set(prefix + "/popped", static_cast<double>(bs.popped));
       m.set(prefix + "/dropped", static_cast<double>(bs.dropped));
@@ -209,23 +217,14 @@ void PresentationRuntime::flush_telemetry() {
               bs.occupancy_ms_sum / static_cast<double>(bs.occupancy_samples));
       }
     }
-    if (rt->receiver != nullptr) rt->receiver->flush_telemetry();
+    if (rt.receiver != nullptr) rt.receiver->flush_telemetry();
   }
-}
-
-bool PresentationRuntime::objects_complete() const {
-  for (const auto& rt : streams_) {
-    if (rt != nullptr && rt->object_conn != nullptr && !rt->object_done) {
-      return false;
-    }
-  }
-  return true;
 }
 
 bool PresentationRuntime::objects_stalled() const {
-  for (const auto& rt : streams_) {
-    if (rt != nullptr && rt->object_conn != nullptr && !rt->object_done &&
-        rt->object_conn->closed()) {
+  for (const StreamRuntime& rt : streams_) {
+    if (rt.object_conn != nullptr && !rt.object_done &&
+        rt.object_conn->closed()) {
       return true;
     }
   }
@@ -235,9 +234,9 @@ bool PresentationRuntime::objects_stalled() const {
 Time PresentationRuntime::playout_position() const {
   Time least = Time::zero();
   bool any = false;
-  for (const auto& rt : streams_) {
-    if (rt == nullptr || rt->frame_interval <= Time::zero()) continue;
-    const Time pos = scheduler_->content_position(rt->spec.id);
+  for (const StreamRuntime& rt : streams_) {
+    if (rt.frame_interval <= Time::zero()) continue;
+    const Time pos = scheduler_->content_position(rt.spec.id);
     if (!any || pos < least) least = pos;
     any = true;
   }

@@ -4,27 +4,36 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "buffer/media_buffer.hpp"
-#include "client/qos_manager.hpp"
 #include "core/playout.hpp"
 #include "core/scenario.hpp"
-#include "core/stream_id.hpp"
 #include "net/tcp.hpp"
 #include "proto/messages.hpp"
 #include "rtp/session.hpp"
 
 namespace hyms::client {
 
+/// The Client QoS Manager box of Fig. 3: the metrics one stream's RTCP
+/// receiver report carries as APP("QOSM") — the paper's "feedback reports to
+/// the sending side" (§4). In order: the buffer's occupancy ("buffer_ms", so
+/// the server sees imminent underflow), the RFC jitter estimate
+/// ("jitter_ms") and the count of frames that failed reassembly
+/// ("incomplete").
+[[nodiscard]] std::vector<std::pair<std::string, double>> qos_metrics(
+    const buffer::MediaBuffer& buffer, const rtp::RtpReceiver& receiver);
+
 /// Everything the browser instantiates to play one document: per-stream
-/// media buffers, RTP receivers (time-sensitive media), TCP object fetchers
-/// (images/text), the playout scheduler, and the client QoS manager feeding
-/// APP("QOSM") metrics into each stream's RTCP receiver reports.
+/// media buffers, RTP receivers (time-sensitive media, each reporting
+/// qos_metrics), TCP object fetchers (images/text) and the playout
+/// scheduler.
 ///
-/// Stream names are interned once during setup into a session-scoped
-/// core::StreamRegistry; every steady-state structure (stream runtimes, QoS
-/// references) is a plain vector indexed by the resulting core::StreamId.
+/// The scenario is the presentation's stream table: streams are kept in
+/// scenario order (its ids are unique), and the few names that arrive at the
+/// edges — the setup reply, receiver(), disable_stream() — are found by one
+/// scan of that short list.
 class PresentationRuntime {
  public:
   struct Config {
@@ -49,8 +58,9 @@ class PresentationRuntime {
   PresentationRuntime(const PresentationRuntime&) = delete;
   PresentationRuntime& operator=(const PresentationRuntime&) = delete;
 
-  /// Phase 1: allocate buffers + RTP receive ports; returns the StreamSetup
-  /// message for the server (ports for every time-sensitive stream).
+  /// Phase 1 (once): allocate buffers + RTP receive ports; returns the
+  /// StreamSetup message for the server (ports for every time-sensitive
+  /// stream).
   proto::StreamSetup prepare_setup(const std::string& document_name);
 
   /// Phase 2: wire the server's reply (receivers learn sender RTCP
@@ -60,10 +70,7 @@ class PresentationRuntime {
   void pause();
   void resume();
   /// Stop consuming a single stream (user disabled the media).
-  void disable_stream(core::StreamId id);
-  void disable_stream(std::string_view stream_id) {
-    disable_stream(registry_.find(stream_id));
-  }
+  void disable_stream(std::string_view stream_id);
 
   [[nodiscard]] core::PlayoutScheduler& scheduler() { return *scheduler_; }
   /// Propagate the StreamSetup's causal trace context into the playout
@@ -77,20 +84,9 @@ class PresentationRuntime {
   [[nodiscard]] const core::PresentationScenario& scenario() const {
     return scenario_;
   }
-  /// The session's name<->id mapping (populated by prepare_setup).
-  [[nodiscard]] const core::StreamRegistry& registry() const {
-    return registry_;
-  }
-  [[nodiscard]] buffer::MediaBuffer* buffer(core::StreamId id);
-  [[nodiscard]] buffer::MediaBuffer* buffer(std::string_view stream_id) {
-    return buffer(registry_.find(stream_id));
-  }
-  [[nodiscard]] rtp::RtpReceiver* receiver(core::StreamId id);
-  [[nodiscard]] rtp::RtpReceiver* receiver(std::string_view stream_id) {
-    return receiver(registry_.find(stream_id));
-  }
-  [[nodiscard]] ClientQosManager& qos_manager() { return qos_; }
-  [[nodiscard]] bool objects_complete() const;
+  /// The stream's RTP receiver; null for objects, disabled streams and
+  /// names the scenario lacks.
+  [[nodiscard]] rtp::RtpReceiver* receiver(std::string_view stream_id);
   /// An object fetch whose transport died before the payload completed: the
   /// one-shot poll would otherwise wait forever. Liveness detection treats
   /// this as a dead presentation (the stream cannot finish without help).
@@ -117,8 +113,9 @@ class PresentationRuntime {
 
  private:
   struct StreamRuntime {
-    core::StreamId id = core::kInvalidStreamId;
-    core::StreamSpec spec;
+    explicit StreamRuntime(const core::StreamSpec& s) : spec(s) {}
+
+    const core::StreamSpec& spec;  // scenario_.streams, same position
     std::unique_ptr<buffer::MediaBuffer> buffer;
     std::unique_ptr<rtp::RtpReceiver> receiver;  // RTP streams only
     Time frame_interval;
@@ -131,6 +128,8 @@ class PresentationRuntime {
     bool object_done = false;
   };
 
+  /// The stream named `stream_id`, or null.
+  [[nodiscard]] StreamRuntime* find(std::string_view stream_id);
   void on_frame(StreamRuntime& rt, const rtp::ReceivedFrame& frame);
   void fetch_object(StreamRuntime& rt, net::NodeId server_node,
                     const proto::StreamSetupReply::StreamInfo& info);
@@ -140,10 +139,8 @@ class PresentationRuntime {
   net::NodeId node_;
   core::PresentationScenario scenario_;
   Config config_;
-  core::StreamRegistry registry_;
-  std::vector<std::unique_ptr<StreamRuntime>> streams_;  // indexed by StreamId
+  std::vector<StreamRuntime> streams_;  // scenario order, from prepare_setup
   std::unique_ptr<core::PlayoutScheduler> scheduler_;
-  ClientQosManager qos_;
   Stats stats_;
 };
 

@@ -6,6 +6,13 @@
 
 namespace hyms::core {
 
+namespace {
+/// Poll period for one-shot media (images) waiting for their payload.
+constexpr Time kImagePoll = Time::msec(50);
+/// How often a rebuffering presentation checks whether it has refilled.
+constexpr Time kRebufferPoll = Time::msec(50);
+}  // namespace
+
 ConsumeMode default_mode(media::MediaType type) {
   switch (type) {
     case media::MediaType::kAudio: return ConsumeMode::kContinuityDriven;
@@ -50,7 +57,7 @@ void PlayoutScheduler::attach_stream(const std::string& stream_id,
   process->buffer = buffer;
   process->mode = default_mode(spec->type);
   process->interval =
-      frame_interval > Time::zero() ? frame_interval : config_.image_poll;
+      frame_interval > Time::zero() ? frame_interval : kImagePoll;
   process->frame_count = std::max<std::int64_t>(1, frame_count);
   process->trace_id = trace_.intern_stream(stream_id);
   if (!spec->sync_group.empty()) {
@@ -397,7 +404,7 @@ void PlayoutScheduler::begin_rebuffer(Process& p) {
   }
   pause();
   const Time began = sim_.now();
-  rebuffer_poll_.arm_after(config_.rebuffer.poll, [this, proc = &p, began] {
+  rebuffer_poll_.arm_after(kRebufferPoll, [this, proc = &p, began] {
     poll_rebuffer(proc, began);
   });
 }
@@ -417,7 +424,7 @@ void PlayoutScheduler::poll_rebuffer(Process* p, Time began) {
     resume();
     return;
   }
-  rebuffer_poll_.arm_after(config_.rebuffer.poll,
+  rebuffer_poll_.arm_after(kRebufferPoll,
                            [this, p, began] { poll_rebuffer(p, began); });
 }
 

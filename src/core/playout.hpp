@@ -38,7 +38,6 @@ struct RebufferPolicy {
   int starvation_ticks = 10;
   Time target = Time::msec(300);
   Time max_wait = Time::sec(3);
-  Time poll = Time::msec(50);
 };
 
 struct PlayoutConfig {
@@ -56,8 +55,6 @@ struct PlayoutConfig {
   /// Drain buffers above their high watermark by dropping oldest frames.
   bool drop_on_overflow = true;
   bool record_events = false;
-  /// Poll period for one-shot media (images) waiting for their payload.
-  Time image_poll = Time::msec(50);
   /// Liveness bound for continuity streams: after this many consecutive
   /// starved slots the process starts consuming slots as gaps (otherwise a
   /// stream whose tail is lost would stall the presentation forever).
@@ -148,9 +145,10 @@ class PlayoutScheduler {
     bool done = false;
     sim::Timer tick;
     /// Trace ids cached at attach time so the per-slot path never touches a
-    /// string: dense PlayoutTrace ids + the telemetry track (if tracing).
-    StreamId trace_id = kInvalidStreamId;
-    StreamId group_id = kInvalidStreamId;
+    /// string: dense PlayoutTrace ids (group_id only with a sync group) + the
+    /// telemetry track (if tracing).
+    std::uint32_t trace_id = 0;
+    std::uint32_t group_id = 0;
     telemetry::TrackId track = telemetry::kInvalidTraceId;
     telemetry::TrackId group_track = telemetry::kInvalidTraceId;
 

@@ -18,19 +18,37 @@ std::string to_string(PlayoutAction action) {
   return "?";
 }
 
-StreamId PlayoutTrace::intern_stream(std::string_view name) {
-  const StreamId id = stream_names_.intern(name);
-  if (id >= stats_.size()) stats_.resize(id + 1);
+namespace {
+
+/// Position of `name` in `names`, or names.size() when absent.
+std::size_t position_of(const std::vector<std::string>& names,
+                        std::string_view name) {
+  return static_cast<std::size_t>(
+      std::find(names.begin(), names.end(), name) - names.begin());
+}
+
+/// Position of `name` in `names`, appending it first if new.
+std::uint32_t intern(std::vector<std::string>& names, std::string_view name) {
+  const std::size_t pos = position_of(names, name);
+  if (pos == names.size()) names.emplace_back(name);
+  return static_cast<std::uint32_t>(pos);
+}
+
+}  // namespace
+
+std::uint32_t PlayoutTrace::intern_stream(std::string_view name) {
+  const std::uint32_t id = intern(stream_names_, name);
+  stats_.resize(stream_names_.size());
   return id;
 }
 
-StreamId PlayoutTrace::intern_group(std::string_view name) {
-  const StreamId id = group_names_.intern(name);
-  if (id >= skew_.size()) skew_.resize(id + 1);
+std::uint32_t PlayoutTrace::intern_group(std::string_view name) {
+  const std::uint32_t id = intern(group_names_, name);
+  skew_.resize(group_names_.size());
   return id;
 }
 
-void PlayoutTrace::note(StreamId stream, PlayoutAction action,
+void PlayoutTrace::note(std::uint32_t stream, PlayoutAction action,
                         std::int64_t frame_index, Time at,
                         Time content_position) {
   StreamPlayoutStats& s = stats_[stream];
@@ -67,27 +85,27 @@ std::vector<PlayoutEvent> PlayoutTrace::events() const {
   std::vector<PlayoutEvent> out;
   out.reserve(records_.size());
   for (const EventRec& rec : records_) {
-    out.push_back(PlayoutEvent{stream_names_.name(rec.stream), rec.action,
+    out.push_back(PlayoutEvent{stream_names_[rec.stream], rec.action,
                                rec.frame_index, rec.at, rec.content_position});
   }
   return out;
 }
 
 const StreamPlayoutStats& PlayoutTrace::stream(const std::string& id) const {
-  const StreamId sid = stream_names_.find(id);
-  if (sid == kInvalidStreamId) {
+  const std::size_t pos = position_of(stream_names_, id);
+  if (pos == stream_names_.size()) {
     static const StreamPlayoutStats kEmpty{};
     return kEmpty;
   }
-  return stats_[sid];
+  return stats_[pos];
 }
 
 std::vector<std::pair<std::string, StreamPlayoutStats>> PlayoutTrace::streams()
     const {
   std::vector<std::pair<std::string, StreamPlayoutStats>> out;
   out.reserve(stats_.size());
-  for (StreamId id = 0; id < stats_.size(); ++id) {
-    out.emplace_back(stream_names_.name(id), stats_[id]);
+  for (std::size_t id = 0; id < stats_.size(); ++id) {
+    out.emplace_back(stream_names_[id], stats_[id]);
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -95,12 +113,12 @@ std::vector<std::pair<std::string, StreamPlayoutStats>> PlayoutTrace::streams()
 }
 
 const util::Sampler& PlayoutTrace::skew_ms(const std::string& group) const {
-  const StreamId gid = group_names_.find(group);
-  if (gid == kInvalidStreamId) {
+  const std::size_t pos = position_of(group_names_, group);
+  if (pos == group_names_.size()) {
     static const util::Sampler kEmpty{};
     return kEmpty;
   }
-  return skew_[gid];
+  return skew_[pos];
 }
 
 double PlayoutTrace::max_abs_skew_ms() const {
@@ -114,7 +132,7 @@ double PlayoutTrace::max_abs_skew_ms() const {
 std::string PlayoutTrace::events_csv() const {
   std::string out = "stream,action,frame,at_us,pos_us\n";
   for (const EventRec& rec : records_) {
-    out += stream_names_.name(rec.stream);
+    out += stream_names_[rec.stream];
     out += ',';
     out += to_string(rec.action);
     out += ',';

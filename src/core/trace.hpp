@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/stream_id.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
 
@@ -26,7 +26,7 @@ enum class PlayoutAction : std::uint8_t {
 [[nodiscard]] std::string to_string(PlayoutAction action);
 
 /// String-keyed view of one playout event, for tests/examples. Hot callers
-/// (the playout scheduler) use the interned-id note() overload instead and
+/// (the playout scheduler) use the dense-id note() overload instead and
 /// never build one of these.
 struct PlayoutEvent {
   std::string stream_id;
@@ -63,24 +63,25 @@ struct StreamPlayoutStats {
 /// Aggregated record of an entire presentation run: the event log (optional,
 /// for tests and examples), per-stream stats, and intermedia skew samples.
 ///
-/// Storage is keyed by interned dense ids — the trace owns a StreamRegistry
-/// for stream names and another for sync groups — so the per-slot note()
-/// fast path indexes flat vectors. The string-keyed note()/stream()/skew_ms()
-/// accessors intern (or look up) on the way in and exist for tests and
-/// call sites off the per-frame path.
+/// Streams and sync groups get dense ids in first-seen order (0, 1, ...),
+/// each the position of its name in a plain name list, so the per-slot
+/// note() fast path indexes flat vectors. A presentation has a handful of
+/// streams, so a name is found by a scan. The string-keyed
+/// note()/stream()/skew_ms() accessors look names up on the way in and exist
+/// for tests and call sites off the per-frame path.
 class PlayoutTrace {
  public:
   void set_record_events(bool record) { record_events_ = record; }
 
-  /// Intern a stream/sync-group name once (at attach time); the returned id
-  /// addresses the fast-path overloads below.
-  StreamId intern_stream(std::string_view name);
-  StreamId intern_group(std::string_view name);
+  /// The id of a stream/sync-group name, minted on first sight. Called once
+  /// per stream at attach time; the id addresses the fast-path overloads.
+  std::uint32_t intern_stream(std::string_view name);
+  std::uint32_t intern_group(std::string_view name);
 
   /// Per-slot fast path: flat vector indexing, no string handling.
-  void note(StreamId stream, PlayoutAction action, std::int64_t frame_index,
-            Time at, Time content_position);
-  void note_skew(StreamId group, Time skew) {
+  void note(std::uint32_t stream, PlayoutAction action,
+            std::int64_t frame_index, Time at, Time content_position);
+  void note_skew(std::uint32_t group, Time skew) {
     skew_[group].add(skew.abs().to_ms());
   }
 
@@ -94,16 +95,10 @@ class PlayoutTrace {
   [[nodiscard]] std::size_t event_count() const { return records_.size(); }
 
   [[nodiscard]] const StreamPlayoutStats& stream(const std::string& id) const;
-  [[nodiscard]] const StreamPlayoutStats& stream(StreamId id) const {
-    return stats_[id];
-  }
   /// (name, stats) pairs sorted by stream name — the iteration order the old
   /// std::map-backed storage gave callers.
   [[nodiscard]] std::vector<std::pair<std::string, StreamPlayoutStats>>
   streams() const;
-  [[nodiscard]] const StreamRegistry& stream_names() const {
-    return stream_names_;
-  }
 
   /// Skew samples per sync group, in milliseconds (absolute value).
   [[nodiscard]] const util::Sampler& skew_ms(const std::string& group) const;
@@ -120,7 +115,7 @@ class PlayoutTrace {
  private:
   /// Compact event record: 32 bytes, no string per event.
   struct EventRec {
-    StreamId stream;
+    std::uint32_t stream;
     PlayoutAction action;
     std::int64_t frame_index;
     Time at;
@@ -128,11 +123,11 @@ class PlayoutTrace {
   };
 
   bool record_events_ = false;
-  StreamRegistry stream_names_;
-  StreamRegistry group_names_;
+  std::vector<std::string> stream_names_;  // id -> name, first-seen order
+  std::vector<std::string> group_names_;
   std::vector<EventRec> records_;
-  std::vector<StreamPlayoutStats> stats_;  // indexed by StreamId
-  std::vector<util::Sampler> skew_;        // indexed by group id
+  std::vector<StreamPlayoutStats> stats_;  // indexed like stream_names_
+  std::vector<util::Sampler> skew_;        // indexed like group_names_
 };
 
 }  // namespace hyms::core

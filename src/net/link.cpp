@@ -7,10 +7,14 @@
 
 namespace hyms::net {
 
-Link::Link(sim::Simulator& sim, std::string name, LinkParams params,
+Link::Link(sim::Simulator& sim, sim::Simulator& deliver_sim,
+           sim::ParallelExec* exec, std::uint32_t src_partition,
+           std::uint32_t dst_partition, std::string name, LinkParams params,
            NodeId to_node, DeliverFn deliver, util::Rng rng, PayloadPool* pool)
     : sim_(sim), name_(std::move(name)), params_(std::move(params)),
-      to_(to_node), deliver_(std::move(deliver)), rng_(rng), pool_(pool) {
+      to_(to_node), deliver_(std::move(deliver)), rng_(rng), pool_(pool),
+      deliver_sim_(deliver_sim), exec_(exec), src_partition_(src_partition),
+      dst_partition_(dst_partition) {
   if (auto* hub = sim_.telemetry()) {
     auto& tr = hub->tracer();
     trace_track_ = tr.track("link/" + name_);
@@ -20,17 +24,6 @@ Link::Link(sim::Simulator& sim, std::string name, LinkParams params,
     n_drop_down_ = tr.name("drop/down");
     n_train_ = tr.name("train");
   }
-}
-
-Link::~Link() { deliver_sim_->cancel(chain_event_); }
-
-void Link::make_conduit(sim::Simulator& dst_sim, sim::ParallelExec& exec,
-                        std::uint32_t src_partition,
-                        std::uint32_t dst_partition) {
-  deliver_sim_ = &dst_sim;
-  exec_ = &exec;
-  src_partition_ = src_partition;
-  dst_partition_ = dst_partition;
 }
 
 Time Link::serialization_time(std::size_t bytes) const {
@@ -240,14 +233,10 @@ void Link::accept_mailed(std::vector<PendingArrival>&& items) {
 }
 
 void Link::arm_chain() {
-  deliver_sim_->cancel(chain_event_);
-  chain_event_ = sim::kNoEvent;
+  chain_timer_.cancel();
   if (calendar_head_ == calendar_.size()) return;
-  chain_event_ =
-      deliver_sim_->schedule_at(calendar_[calendar_head_].arrival, [this] {
-        chain_event_ = sim::kNoEvent;
-        fire_chain();
-      });
+  chain_timer_.arm_at(calendar_[calendar_head_].arrival,
+                      [this] { fire_chain(); });
 }
 
 void Link::fire_chain() {
@@ -255,7 +244,7 @@ void Link::fire_chain() {
   // track lives in the source partition's hub, and the transit queue is
   // source-side admission state, so both stay untouched here (transit drains
   // lazily at the next offer).
-  sim::Simulator& dsim = *deliver_sim_;
+  sim::Simulator& dsim = deliver_sim_;
   auto* hub = is_conduit() ? nullptr : sim_.telemetry();
   const Time fired_at = dsim.now();
   Time last_delivered = fired_at;
@@ -263,10 +252,7 @@ void Link::fire_chain() {
   for (;;) {
     // A delivery below may have re-entered offer() and armed a fresh chain
     // event; this loop is still in charge, so retire it.
-    if (chain_event_ != sim::kNoEvent) {
-      dsim.cancel(chain_event_);
-      chain_event_ = sim::kNoEvent;
-    }
+    chain_timer_.cancel();
     if (calendar_head_ == calendar_.size()) {
       calendar_.clear();
       calendar_head_ = 0;

@@ -45,31 +45,33 @@ class Link {
  public:
   using DeliverFn = std::function<void(Packet&&)>;
 
+  /// `sim` is the source endpoint's simulator, which runs admission.
+  /// `deliver_sim` is the far endpoint's, which runs the arrival chain.
   /// `pool`, if given, receives the payload buffers of packets the link
   /// drops, so drop-heavy runs recycle allocations just like delivered ones.
-  Link(sim::Simulator& sim, std::string name, LinkParams params,
+  ///
+  /// A non-null `exec` makes the link a cross-partition *conduit* from
+  /// partition `src_partition` to a different `dst_partition`: admission
+  /// (queue, loss, serialization, jitter — every RNG draw and timestamp)
+  /// still runs on `sim` exactly as in the local batched path, but admitted
+  /// packets are mailed through `exec`'s post() and parked in the arrival
+  /// calendar at the next executor barrier; the chained delivery event then
+  /// runs on `deliver_sim`. Requires params().propagation >= the executor
+  /// lookahead for the lifetime of the link — a push_override() must not
+  /// lower a cross link's propagation below it (post() throws when the
+  /// contract breaks). Conduits always use the calendar path (the per-packet
+  /// unbatched reference path would schedule onto the far simulator from the
+  /// source thread), and skip per-event tracer emission (the trace track
+  /// lives in the source partition's hub; counters still flush post-run).
+  /// An ordinary link passes its own simulator twice and a null `exec`.
+  Link(sim::Simulator& sim, sim::Simulator& deliver_sim,
+       sim::ParallelExec* exec, std::uint32_t src_partition,
+       std::uint32_t dst_partition, std::string name, LinkParams params,
        NodeId to_node, DeliverFn deliver, util::Rng rng,
        PayloadPool* pool = nullptr);
-  ~Link();
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Turn this link into a cross-partition *conduit* from partition
-  /// `src_partition` to a different `dst_partition`: admission (queue,
-  /// loss, serialization, jitter — every RNG draw and timestamp) still runs
-  /// on the source partition's simulator exactly as in the local batched
-  /// path, but admitted packets are mailed through `exec`'s post() and
-  /// parked in the arrival calendar at the next executor barrier; the
-  /// chained delivery event then runs on `dst_sim` (the far endpoint's
-  /// partition). Requires params().propagation >= the executor lookahead for
-  /// the lifetime of the link — a push_override() must not lower a cross
-  /// link's propagation below it (post() throws when the contract breaks).
-  /// Conduits always use the calendar path (the per-packet unbatched
-  /// reference path would schedule onto the far simulator from the source
-  /// thread), and skip per-event tracer emission (the trace track lives in
-  /// the source partition's hub; counters still flush post-run).
-  void make_conduit(sim::Simulator& dst_sim, sim::ParallelExec& exec,
-                    std::uint32_t src_partition, std::uint32_t dst_partition);
   [[nodiscard]] bool is_conduit() const { return exec_ != nullptr; }
 
   /// Offer a packet to the link. May drop (queue full or loss model); on
@@ -168,7 +170,7 @@ class Link {
   /// time has come, running ahead of the clock (advance_now per item) while
   /// no other simulator event intervenes, then re-arm at the next arrival.
   void fire_chain();
-  /// Cancel + re-arm the chain event at the calendar head's arrival.
+  /// Cancel + re-arm the chain timer at the calendar head's arrival.
   void arm_chain();
   /// Retire transit entries with finish <= t (queue-depth bookkeeping).
   void drain_transit(Time t);
@@ -193,18 +195,17 @@ class Link {
   std::size_t calendar_head_ = 0;
   std::vector<TransitEntry> transit_;
   std::size_t transit_head_ = 0;
-  // Raw, not a sim::Timer: make_conduit picks deliver_sim_ after construction.
-  sim::EventId chain_event_ = sim::kNoEvent;
 
-  // State of a conduit (exec_ is null for ordinary links). deliver_sim_ owns
-  // the calendar's chain event (== the source simulator for ordinary links);
-  // mailbox_ buffers admissions within one transmit/send_train call until
-  // flush_mailbox() posts them.
-  sim::Simulator* deliver_sim_ = &sim_;
-  sim::ParallelExec* exec_ = nullptr;
-  std::uint32_t src_partition_ = 0;
-  std::uint32_t dst_partition_ = 0;
+  // State of a conduit (exec_ is null for ordinary links, whose deliver_sim_
+  // is sim_). deliver_sim_ runs the calendar's chain timer; mailbox_ buffers
+  // admissions within one transmit/send_train call until flush_mailbox()
+  // posts them.
+  sim::Simulator& deliver_sim_;
+  sim::ParallelExec* exec_;
+  std::uint32_t src_partition_;
+  std::uint32_t dst_partition_;
   std::vector<PendingArrival> mailbox_;
+  sim::Timer chain_timer_{deliver_sim_};
 
   // Trace ids, interned once at construction when a telemetry hub is
   // installed on the simulator (unused otherwise).

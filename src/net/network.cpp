@@ -70,10 +70,10 @@ std::pair<Link*, Link*> Network::connect(NodeId a, NodeId b,
     const std::uint32_t sp = nodes_[from]->partition;
     const std::uint32_t dp = nodes_[to]->partition;
     auto link = std::make_unique<Link>(
-        *sims_[sp], nodes_[from]->name + "->" + nodes_[to]->name, p, to,
+        *sims_[sp], *sims_[dp], sp != dp ? exec_ : nullptr, sp, dp,
+        nodes_[from]->name + "->" + nodes_[to]->name, p, to,
         [this, to](Packet&& pkt) { deliver_at(to, std::move(pkt)); },
         rng_.fork(next_link_rng_++), &shards_[sp].pool);
-    if (sp != dp) link->make_conduit(*sims_[dp], *exec_, sp, dp);
     Link* raw = link.get();
     nodes_[from]->out_links.push_back(std::move(link));
     return raw;

@@ -10,6 +10,13 @@ namespace hyms::net {
 
 namespace {
 
+/// Max payload per segment.
+constexpr std::size_t kMss = 1400;
+/// Floor of the Jacobson/Karels retransmission timeout.
+constexpr Time kMinRto = Time::msec(200);
+/// Slow start's first congestion window, in segments.
+constexpr std::size_t kInitialCwndSegments = 2;
+
 // Segment wire format: checksum(4) flags(1) seq(4) ack(4) len(2)
 // payload(len). The checksum (FNV-1a over everything after it) plays TCP's
 // checksum role: a segment corrupted on the wire is silently discarded and
@@ -99,7 +106,7 @@ StreamConnection::StreamConnection(Network& net, NodeId local_node,
   snd_max_ = iss_;
   recover_point_ = iss_;
   send_buf_base_ = iss_ + 1;  // data starts after the SYN sequence number
-  cwnd_ = static_cast<double>(params_.initial_cwnd_segments * params_.mss);
+  cwnd_ = static_cast<double>(kInitialCwndSegments * kMss);
   if (passive) state_ = State::kSynReceived;
 }
 
@@ -226,10 +233,10 @@ void StreamConnection::handle_ack(std::uint32_t ack) {
     }
 
     // Congestion window growth: slow start then additive increase.
-    const auto mss = static_cast<double>(params_.mss);
+    const auto mss = static_cast<double>(kMss);
     if (cwnd_ < ssthresh_) {
       cwnd_ += static_cast<double>(std::min<std::uint32_t>(
-          newly, static_cast<std::uint32_t>(params_.mss)));
+          newly, static_cast<std::uint32_t>(kMss)));
     } else {
       cwnd_ += mss * mss / cwnd_;
     }
@@ -252,12 +259,12 @@ void StreamConnection::handle_ack(std::uint32_t ack) {
       // Fast retransmit.
       ++stats_.fast_retransmits;
       const double flight = static_cast<double>(unacked_bytes());
-      ssthresh_ = std::max(flight / 2.0, 2.0 * static_cast<double>(params_.mss));
+      ssthresh_ = std::max(flight / 2.0, 2.0 * static_cast<double>(kMss));
       cwnd_ = ssthresh_;
       const std::size_t offset =
           static_cast<std::size_t>(snd_una_ - send_buf_base_);
       const std::size_t len =
-          std::min(params_.mss, send_buf_.size() - std::min(offset, send_buf_.size()));
+          std::min(kMss, send_buf_.size() - std::min(offset, send_buf_.size()));
       if (len > 0 && offset < send_buf_.size()) {
         std::vector<std::uint8_t> chunk(
             send_buf_.begin() + static_cast<std::ptrdiff_t>(offset),
@@ -330,7 +337,7 @@ void StreamConnection::try_send() {
         static_cast<std::size_t>(snd_nxt_ - send_buf_base_);
     const std::size_t available = send_buf_.size() - offset;
     const std::size_t len =
-        std::min({params_.mss, available, window - in_flight});
+        std::min({kMss, available, window - in_flight});
     if (len == 0) break;
     std::vector<std::uint8_t> chunk(
         send_buf_.begin() + static_cast<std::ptrdiff_t>(offset),
@@ -426,8 +433,8 @@ void StreamConnection::on_rto() {
   // segments of one window, and retransmitting only the first hole would
   // leave recovery limping along at one hole per (backed-off) timeout.
   const double flight = static_cast<double>(unacked_bytes());
-  ssthresh_ = std::max(flight / 2.0, 2.0 * static_cast<double>(params_.mss));
-  cwnd_ = static_cast<double>(params_.mss);
+  ssthresh_ = std::max(flight / 2.0, 2.0 * static_cast<double>(kMss));
+  cwnd_ = static_cast<double>(kMss);
   dup_acks_ = 0;
   rtt_probe_active_ = false;  // Karn: nothing timed across a timeout
   recover_point_ = snd_nxt_;  // everything below this is a retransmission
@@ -452,7 +459,7 @@ void StreamConnection::update_rtt(Time sample) {
   }
   stats_.srtt_ms = srtt_ms_;
   const double rto_ms = srtt_ms_ + std::max(1.0, 4.0 * rttvar_ms_);
-  rto_ = std::clamp(Time::seconds(rto_ms / 1e3), params_.min_rto,
+  rto_ = std::clamp(Time::seconds(rto_ms / 1e3), kMinRto,
                     params_.max_rto);
 }
 

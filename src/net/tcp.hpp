@@ -18,11 +18,8 @@ namespace hyms::net {
 /// Tunables of the TCP-like reliable transport. Defaults approximate a 1996
 /// BSD stack scaled to the emulated RTTs.
 struct TcpParams {
-  std::size_t mss = 1400;                 // max payload per segment
-  Time min_rto = Time::msec(200);
   Time max_rto = Time::sec(60);
   Time initial_rto = Time::sec(1);
-  std::size_t initial_cwnd_segments = 2;
   int max_syn_retries = 6;
   /// Consecutive data-path RTO expiries tolerated before the connection
   /// gives up and closes with CloseReason::kRetransmitTimeout (the "R2"

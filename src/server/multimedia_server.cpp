@@ -404,12 +404,12 @@ class MultimediaServer::ClientSession {
         session = MediaStreamSession::make_rtp(
             server_.net_, server_.media_host(spec.type), source.value(), spec,
             net::Endpoint{conn_->remote().node, port_it->rtp_port}, params);
+        const std::size_t stream = qos_->attach(session.get());
         session->set_on_feedback(
-            [this](core::StreamId id, const rtp::ReceiverFeedback& fb) {
+            [this, stream](const rtp::ReceiverFeedback& fb) {
               last_peer_activity_ = sim_.now();  // RTCP proves client life
-              if (qos_) qos_->on_feedback(id, fb);
+              if (qos_) qos_->on_feedback(stream, fb);
             });
-        qos_->attach(session.get());
       } else {
         session = MediaStreamSession::make_object(
             server_.net_, server_.media_host(spec.type), source.value(), spec,

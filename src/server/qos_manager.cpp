@@ -4,13 +4,18 @@
 
 namespace hyms::server {
 
-core::StreamId ServerQosManager::attach(MediaStreamSession* session) {
-  const auto id = static_cast<core::StreamId>(streams_.size());
+namespace {
+/// A report is bad when its RR interarrival jitter exceeds this...
+constexpr double kJitterDegradeMs = 80.0;
+/// ...or its APP("QOSM") buffer_ms says the client's buffer is this low.
+constexpr double kBufferLowMs = 100.0;
+}  // namespace
+
+std::size_t ServerQosManager::attach(MediaStreamSession* session) {
   StreamState state;
   state.session = session;
   streams_.push_back(state);
-  session->set_stream_id(id);
-  return id;
+  return streams_.size() - 1;
 }
 
 void ServerQosManager::detach_all() { streams_.clear(); }
@@ -20,18 +25,18 @@ bool ServerQosManager::report_is_bad(const MediaStreamSession& session,
   if (fb.fraction_lost() > config_.loss_degrade) return true;
   const double jitter_ms = static_cast<double>(fb.block.interarrival_jitter) *
                            1000.0 / session.clock_rate();
-  if (jitter_ms > config_.jitter_degrade_ms) return true;
+  if (jitter_ms > kJitterDegradeMs) return true;
   for (const auto& [key, value] : fb.app_metrics) {
-    if (key == "buffer_ms" && value < config_.buffer_low_ms) return true;
+    if (key == "buffer_ms" && value < kBufferLowMs) return true;
   }
   return false;
 }
 
-void ServerQosManager::on_feedback(core::StreamId stream_id,
+void ServerQosManager::on_feedback(std::size_t stream,
                                    const rtp::ReceiverFeedback& feedback) {
   if (!config_.enabled) return;
-  if (stream_id >= streams_.size()) return;
-  StreamState& state = streams_[stream_id];
+  if (stream >= streams_.size()) return;
+  StreamState& state = streams_[stream];
   if (state.session->stopped()) return;
   ++stats_.reports;
 

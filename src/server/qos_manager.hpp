@@ -1,9 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "core/stream_id.hpp"
 #include "rtp/session.hpp"
 #include "server/stream_session.hpp"
 #include "sim/simulator.hpp"
@@ -27,8 +27,6 @@ class ServerQosManager {
     bool enabled = true;
     DegradeOrder degrade_order = DegradeOrder::kVideoFirst;
     double loss_degrade = 0.04;        // RR fraction-lost trigger
-    double jitter_degrade_ms = 80.0;   // RR interarrival-jitter trigger
-    double buffer_low_ms = 100.0;      // APP("QOSM") buffer_ms trigger
     int good_reports_for_upgrade = 5;  // clean reports on every stream
     Time action_hold = Time::sec(2);   // spacing between grading actions
     bool stop_at_floor = false;        // §4: "may choose to stop" the stream
@@ -38,14 +36,12 @@ class ServerQosManager {
       : sim_(sim), config_(config) {}
 
   /// Register a stream session of this presentation (non-owning). Returns
-  /// the dense session-scoped id feedback must be addressed with (it is also
-  /// stamped onto the session, so its sender callback self-identifies).
-  core::StreamId attach(MediaStreamSession* session);
+  /// its position, which the session's feedback callback passes back.
+  std::size_t attach(MediaStreamSession* session);
   void detach_all();
 
   /// Entry point wired to every RtpSender's feedback callback.
-  void on_feedback(core::StreamId stream_id,
-                   const rtp::ReceiverFeedback& feedback);
+  void on_feedback(std::size_t stream, const rtp::ReceiverFeedback& feedback);
 
   struct Stats {
     std::int64_t reports = 0;
@@ -81,7 +77,7 @@ class ServerQosManager {
 
   sim::Simulator& sim_;
   Config config_;
-  std::vector<StreamState> streams_;  // indexed by the id attach() returned
+  std::vector<StreamState> streams_;  // in attach() order
   Time last_action_ = Time::usec(-1'000'000'000);
   Stats stats_;
 };

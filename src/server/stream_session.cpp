@@ -76,7 +76,7 @@ std::unique_ptr<MediaStreamSession> MediaStreamSession::make_rtp(
       net, server_node, client_rtp, net::Endpoint{}, sp);
   session->sender_->set_on_feedback(
       [raw = session.get()](const rtp::ReceiverFeedback& fb) {
-        if (raw->on_feedback_) raw->on_feedback_(raw->stream_id_, fb);
+        if (raw->on_feedback_) raw->on_feedback_(fb);
       });
   return session;
 }

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "core/scenario.hpp"
-#include "core/stream_id.hpp"
 #include "media/quality.hpp"
 #include "media/source.hpp"
 #include "net/tcp.hpp"
@@ -24,8 +23,7 @@ namespace hyms::server {
 /// TCP-like connection (Fig. 5).
 class MediaStreamSession {
  public:
-  using FeedbackFn =
-      std::function<void(core::StreamId, const rtp::ReceiverFeedback&)>;
+  using FeedbackFn = rtp::RtpSender::FeedbackFn;
 
   struct Params {
     int initial_level = 0;
@@ -97,10 +95,6 @@ class MediaStreamSession {
   [[nodiscard]] media::MediaType media_type() const { return source_->type(); }
 
   void set_on_feedback(FeedbackFn fn) { on_feedback_ = std::move(fn); }
-  /// Dense session-scoped id stamped by the QoS manager at attach time;
-  /// sender feedback self-identifies with it (vector index, no string key).
-  void set_stream_id(core::StreamId id) { stream_id_ = id; }
-  [[nodiscard]] core::StreamId stream_id() const { return stream_id_; }
 
   struct Stats {
     std::int64_t frames_sent = 0;
@@ -143,7 +137,6 @@ class MediaStreamSession {
   std::unique_ptr<net::StreamListener> listener_;
   std::vector<std::unique_ptr<net::StreamConnection>> object_conns_;
 
-  core::StreamId stream_id_ = core::kInvalidStreamId;
   bool began_ = false;  // first pace_frame() happened (telemetry window)
   bool paused_ = false;
   bool stopped_ = false;

@@ -23,40 +23,6 @@ EventId Simulator::schedule_after(Time delay, EventFn fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-void Simulator::cancel(EventId id) {
-  const std::uint32_t index = slot_of(id);
-  if (index >= slot_count_) return;  // kNoEvent or a foreign id
-  Slot& s = slot(index);
-  if (s.seq == 0 || s.gen != gen_of(id)) return;  // already fired or cancelled
-  ++cancelled_;
-  release_slot(index);  // the heap entry goes stale and is pruned lazily
-}
-
-bool Simulator::pending(EventId id) const {
-  const std::uint32_t index = slot_of(id);
-  if (index >= slot_count_) return false;
-  const Slot& s = slot(index);
-  return s.seq != 0 && s.gen == gen_of(id);
-}
-
-void Timer::arm_at(Time when, EventFn fn) {
-  cancel();
-  fn_ = std::move(fn);
-  id_ = sim_->schedule_at(when, [this] { fire(); });
-}
-
-void Timer::arm_after(Time delay, EventFn fn) {
-  arm_at(sim_->now() + delay, std::move(fn));  // schedule_at clamps to now
-}
-
-void Timer::fire() {
-  id_ = kNoEvent;
-  // The callback may re-arm this Timer or destroy it (with its owner), so
-  // it runs from the stack and nothing here touches `this` afterwards.
-  EventFn fn = std::move(fn_);
-  fn();
-}
-
 std::uint32_t Simulator::acquire_slot() {
   if (free_head_ != kNilSlot) {
     const std::uint32_t index = free_head_;

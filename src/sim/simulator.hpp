@@ -49,8 +49,18 @@ class Simulator {
   /// Schedule after a delay from now (negative delays clamp to now).
   EventId schedule_after(Time delay, EventFn fn);
   /// Cancel a pending event; cancelling an already-fired id is a no-op.
-  void cancel(EventId id);
-  [[nodiscard]] bool pending(EventId id) const;
+  /// Inline, like pending(): a Timer cancels on every re-arm.
+  void cancel(EventId id) {
+    if (!pending(id)) return;
+    ++cancelled_;
+    release_slot(slot_of(id));  // the heap entry goes stale, pruned lazily
+  }
+  [[nodiscard]] bool pending(EventId id) const {
+    const std::uint32_t index = slot_of(id);
+    if (index >= slot_count_) return false;  // kNoEvent or a foreign id
+    const Slot& s = slot(index);
+    return s.seq != 0 && s.gen == gen_of(id);
+  }
 
   /// Execute one event; returns false when the queue is empty.
   bool step();
@@ -199,16 +209,16 @@ class Simulator {
 /// A re-armable one-shot event, owned by the object it calls back into.
 /// arm_at()/arm_after() replace any pending firing, cancel() drops it, and
 /// the destructor cancels it, so an owner destroyed while its simulator runs
-/// is never called back. The scheduled event captures only this Timer (it
-/// fits InplaceFunction's inline buffer, so arming allocates nothing beyond
-/// what `fn` itself needs); the callback lives here. Firing clears the
-/// pending handle and moves the callback onto the stack before calling it:
-/// a callback may re-arm its own Timer, or destroy the Timer's owner.
+/// is never called back. A Timer is only the pending event's EventId; the
+/// callback lives in the simulator's slot, which moves it onto the stack and
+/// frees the slot before calling it. So a callback may re-arm its own Timer
+/// or destroy the Timer's owner, and the id a fired Timer still holds is
+/// stale (generation-checked): cancelling it does nothing.
 ///
 /// Ownership rule: a callback that captures an object which can be destroyed
 /// while its simulator still runs is armed through a Timer member of that
 /// object. A bare Simulator::schedule_* is only for closures whose captures
-/// outlive the run. The simulator must outlive every Timer armed on it.
+/// outlive the run. The simulator must outlive every Timer made on it.
 class Timer {
  public:
   explicit Timer(Simulator& sim) : sim_(&sim) {}
@@ -217,25 +227,26 @@ class Timer {
   Timer& operator=(const Timer&) = delete;
 
   /// Fire `fn` at `when` (clamped to now), replacing any pending firing.
-  void arm_at(Time when, EventFn fn);
+  void arm_at(Time when, EventFn fn) {
+    cancel();
+    id_ = sim_->schedule_at(when, std::move(fn));
+  }
   /// Fire `fn` after `delay` (negative delays clamp to now), replacing any
   /// pending firing.
-  void arm_after(Time delay, EventFn fn);
+  void arm_after(Time delay, EventFn fn) {
+    cancel();
+    id_ = sim_->schedule_after(delay, std::move(fn));
+  }
   /// Drop the pending firing, if any.
   void cancel() {
-    if (id_ == kNoEvent) return;
     sim_->cancel(id_);
     id_ = kNoEvent;
-    fn_.reset();
   }
-  [[nodiscard]] bool armed() const { return id_ != kNoEvent; }
+  [[nodiscard]] bool armed() const { return sim_->pending(id_); }
 
  private:
-  void fire();
-
   Simulator* sim_;
   EventId id_ = kNoEvent;
-  EventFn fn_;
 };
 
 }  // namespace hyms::sim

@@ -157,6 +157,39 @@ TEST_F(BrowserTest, TimedLinkDrivesAutoNavigation) {
   EXPECT_EQ(browser_->active()->current_document(), "unit-2");
 }
 
+TEST_F(BrowserTest, SessionDestroyedAsItsTimedLinkFiresIsNotCalledBack) {
+  auto session = std::make_unique<client::BrowserSession>(
+      deployment_->network(), deployment_->client_node(0),
+      deployment_->server(0).control_endpoint(),
+      client::BrowserSession::Config{});
+  session->set_subscription_form(hermes::student_form("gus", "standard"));
+  bool hook_ran = false;
+  session->set_on_timed_link(
+      [&hook_ran](const core::LinkSpec&) { hook_ran = true; });
+  bool link_fired_first = false;
+  session->set_on_viewing([&] {
+    // Scheduled after the playout scheduler armed unit-1's timed link, so
+    // at the link's instant this runs after the link fires and before the
+    // session's deferred hook.
+    auto& scheduler = session->presentation()->scheduler();
+    const Time link_at = scheduler.presentation_epoch() +
+                         *scheduler.scenario().links.at(0).at;
+    sim_.schedule_at(link_at, [&] {
+      link_fired_first =
+          session->event_log().back().find("timed link fired") !=
+          std::string::npos;
+      session.reset();
+    });
+  });
+  session->connect("gus", "secret-gus");
+  session->queue_document("unit-1");
+
+  sim_.run_until(Time::sec(20));  // the run goes on past the destruction
+  EXPECT_EQ(session, nullptr);
+  EXPECT_TRUE(link_fired_first);
+  EXPECT_FALSE(hook_ran);
+}
+
 TEST_F(BrowserTest, LinkToUnknownServerIsIgnored) {
   browser_->login("hermes-1", "finn", "secret-finn",
                   hermes::student_form("finn", "standard"));

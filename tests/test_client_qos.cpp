@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "buffer/media_buffer.hpp"
-#include "client/qos_manager.hpp"
-#include "core/stream_id.hpp"
+#include "client/presentation.hpp"
 #include "net/network.hpp"
 #include "rtp/session.hpp"
 #include "sim/simulator.hpp"
@@ -10,7 +9,7 @@
 namespace hyms {
 namespace {
 
-using client::ClientQosManager;
+using client::qos_metrics;
 
 class ClientQosTest : public ::testing::Test {
  protected:
@@ -28,25 +27,25 @@ class ClientQosTest : public ::testing::Test {
     return f;
   }
 
-  core::StreamRegistry reg_;
   sim::Simulator sim_;
   net::Network net_;
   net::NodeId a_, b_;
 };
 
-TEST_F(ClientQosTest, MetricsReflectBufferState) {
+TEST_F(ClientQosTest, MetricsReflectBufferAndReceiver) {
   buffer::MediaBuffer buffer("A", {});
   buffer.push(frame(0, Time::msec(40)));
   buffer.push(frame(1, Time::msec(40)));
+  rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, {});
 
-  ClientQosManager manager;
-  manager.attach(reg_.intern("A"), &buffer, nullptr);
-
-  const auto metrics = manager.metrics_for(reg_.find("A"));
-  ASSERT_EQ(metrics.size(), 1u);  // no receiver: buffer metric only
+  const auto metrics = qos_metrics(buffer, receiver);
+  ASSERT_EQ(metrics.size(), 3u);
   EXPECT_EQ(metrics[0].first, "buffer_ms");
   EXPECT_DOUBLE_EQ(metrics[0].second, 80.0);
-  EXPECT_DOUBLE_EQ(manager.min_buffer_ms(), 80.0);
+  EXPECT_EQ(metrics[1].first, "jitter_ms");
+  EXPECT_DOUBLE_EQ(metrics[1].second, 0.0);  // nothing received yet
+  EXPECT_EQ(metrics[2].first, "incomplete");
+  EXPECT_DOUBLE_EQ(metrics[2].second, 0.0);
 }
 
 TEST_F(ClientQosTest, MetricsFlowThroughReceiverReports) {
@@ -61,8 +60,8 @@ TEST_F(ClientQosTest, MetricsFlowThroughReceiverReports) {
 
   buffer::MediaBuffer buffer("S", {});
   buffer.push(frame(0, Time::msec(120)));
-  ClientQosManager manager;
-  manager.attach(reg_.intern("S"), &buffer, &receiver);
+  // Installed the way PresentationRuntime::activate does it.
+  receiver.set_extra_metrics([&] { return qos_metrics(buffer, receiver); });
 
   std::vector<std::pair<std::string, double>> seen;
   sender.set_on_feedback([&](const rtp::ReceiverFeedback& fb) {
@@ -77,30 +76,6 @@ TEST_F(ClientQosTest, MetricsFlowThroughReceiverReports) {
   EXPECT_DOUBLE_EQ(seen[0].second, 120.0);
   EXPECT_EQ(seen[1].first, "jitter_ms");
   EXPECT_EQ(seen[2].first, "incomplete");
-}
-
-TEST_F(ClientQosTest, AggregatesAcrossStreams) {
-  buffer::MediaBuffer audio("A", {});
-  buffer::MediaBuffer video("V", {});
-  audio.push(frame(0, Time::msec(200)));
-  video.push(frame(0, Time::msec(80)));
-  ClientQosManager manager;
-  manager.attach(reg_.intern("A"), &audio, nullptr);
-  manager.attach(reg_.intern("V"), &video, nullptr);
-  EXPECT_EQ(manager.stream_count(), 2u);
-  EXPECT_DOUBLE_EQ(manager.min_buffer_ms(), 80.0);
-  manager.detach(reg_.find("V"));
-  EXPECT_DOUBLE_EQ(manager.min_buffer_ms(), 200.0);
-  EXPECT_EQ(manager.stream_count(), 1u);
-}
-
-TEST_F(ClientQosTest, UnknownStreamIsEmpty) {
-  ClientQosManager manager;
-  EXPECT_TRUE(manager.metrics_for(reg_.find("nope")).empty());
-  manager.detach(reg_.find("nope"));  // harmless
-  EXPECT_DOUBLE_EQ(manager.min_buffer_ms(), 0.0);
-  EXPECT_DOUBLE_EQ(manager.worst_jitter_ms(), 0.0);
-  EXPECT_EQ(manager.total_incomplete_frames(), 0);
 }
 
 }  // namespace

@@ -249,7 +249,7 @@ TEST_F(QosTest, DisabledManagerDoesNothing) {
 
 TEST_F(QosTest, UnknownStreamIgnored) {
   ServerQosManager manager(sim_, config());
-  manager.on_feedback(core::StreamId{7}, feedback(0.5));
+  manager.on_feedback(7, feedback(0.5));
   EXPECT_EQ(manager.stats().reports, 0);
 }
 
