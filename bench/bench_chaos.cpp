@@ -63,15 +63,15 @@ void run_one(std::uint64_t seed, Totals& totals, int index, bool harsh,
 
   const Time horizon = Time::sec(180);
   while (sim.now() < horizon &&
-         session.outcome() == client::SessionOutcome::kPending) {
+         session.outcome() == telemetry::QoeOutcome::kPending) {
     sim.run_until(sim.now() + Time::sec(1));
   }
 
   switch (session.outcome()) {
-    case client::SessionOutcome::kCompleted: ++totals.completed; break;
-    case client::SessionOutcome::kDegraded: ++totals.degraded; break;
-    case client::SessionOutcome::kAborted: ++totals.aborted; break;
-    case client::SessionOutcome::kPending: ++totals.pending; break;
+    case telemetry::QoeOutcome::kCompleted: ++totals.completed; break;
+    case telemetry::QoeOutcome::kDegraded: ++totals.degraded; break;
+    case telemetry::QoeOutcome::kAborted: ++totals.aborted; break;
+    case telemetry::QoeOutcome::kPending: ++totals.pending; break;
   }
   totals.recoveries += session.recovery_count();
   totals.degradations += session.floor_degradations();
@@ -91,7 +91,7 @@ void run_one(std::uint64_t seed, Totals& totals, int index, bool harsh,
   if (!trace_file.empty()) {
     std::printf("  wrote %s (seed %llu: outcome=%s recoveries=%d)\n",
                 trace_file.c_str(), static_cast<unsigned long long>(seed),
-                to_string(session.outcome()).c_str(),
+                std::string(to_string(session.outcome())).c_str(),
                 session.recovery_count());
   }
   if (!metrics_file.empty()) {

@@ -42,7 +42,6 @@ client::BrowserSession::Config chaos_session_config(bool harsh) {
   c.tcp.max_syn_retries = 4;
   c.tcp.max_rto = Time::sec(4);
   c.tcp.max_retransmits = 8;
-  c.presentation.tcp = c.tcp;
   c.recovery.enabled = true;
   c.recovery.request_timeout = Time::sec(2);
   c.recovery.liveness_timeout = Time::sec(2);

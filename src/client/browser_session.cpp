@@ -40,16 +40,6 @@ std::string to_string(ClientState state) {
   return "?";
 }
 
-std::string to_string(SessionOutcome outcome) {
-  switch (outcome) {
-    case SessionOutcome::kPending: return "pending";
-    case SessionOutcome::kCompleted: return "completed";
-    case SessionOutcome::kDegraded: return "degraded";
-    case SessionOutcome::kAborted: return "aborted";
-  }
-  return "?";
-}
-
 BrowserSession::BrowserSession(net::Network& net, net::NodeId node,
                                net::Endpoint server, Config config)
     : net_(net), sim_(net.sim_at(node)), node_(node), server_(server),
@@ -163,7 +153,7 @@ void BrowserSession::open_connection() {
     if (state_ == ClientState::kClosed) return;
     if (recovering_) return;  // we tore it down ourselves
     if (config_.recovery.enabled && !user_closing_ &&
-        outcome_ == SessionOutcome::kPending &&
+        outcome_ == telemetry::QoeOutcome::kPending &&
         state_ != ClientState::kSuspended) {
       settle_queue_wait();  // a crash may have hit us parked in the queue
       // An unsolicited transport death (server crash, outage longer than the
@@ -173,11 +163,11 @@ void BrowserSession::open_connection() {
       return;
     }
     if (state_ == ClientState::kQueuedForAdmission &&
-        outcome_ == SessionOutcome::kPending && !user_closing_) {
+        outcome_ == telemetry::QoeOutcome::kPending && !user_closing_) {
       // Without recovery a transport death while parked in the server's
       // wait queue (server crash) is a terminal, typed admission loss.
       settle_queue_wait();
-      outcome_ = SessionOutcome::kAborted;
+      outcome_ = telemetry::QoeOutcome::kAborted;
       fail(util::Error{util::Error::Code::kAdmissionRejected,
                        "connection lost while queued for admission"});
     }
@@ -294,7 +284,7 @@ void BrowserSession::reconnect() {
 void BrowserSession::abort_recovery(const std::string& why) {
   recovering_ = false;
   cancel_recovery_timers();
-  outcome_ = SessionOutcome::kAborted;
+  outcome_ = telemetry::QoeOutcome::kAborted;
   accumulate_playout_qoe();
   presentation_.reset();
   seal_qoe(outcome_);
@@ -308,8 +298,8 @@ void BrowserSession::abort_recovery(const std::string& why) {
 
 void BrowserSession::finish_presentation() {
   log_event("presentation finished");
-  outcome_ = floor_degradations_ > 0 ? SessionOutcome::kDegraded
-                                     : SessionOutcome::kCompleted;
+  outcome_ = floor_degradations_ > 0 ? telemetry::QoeOutcome::kDegraded
+                                     : telemetry::QoeOutcome::kCompleted;
   accumulate_playout_qoe();
   seal_qoe(outcome_);
   if (on_presentation_finished_) on_presentation_finished_();
@@ -358,7 +348,7 @@ void BrowserSession::handle_admission_rejection(const proto::DocumentReply& m) {
 
 void BrowserSession::give_up_admission(const std::string& why) {
   log_event("overload: giving up on admission: " + why);
-  outcome_ = SessionOutcome::kAborted;
+  outcome_ = telemetry::QoeOutcome::kAborted;
   seal_qoe(outcome_);
   fail(util::Error{util::Error::Code::kAdmissionRejected,
                    "admission abandoned: " + why});
@@ -389,7 +379,7 @@ void BrowserSession::accumulate_playout_qoe() {
   }
 }
 
-void BrowserSession::seal_qoe(SessionOutcome outcome) {
+void BrowserSession::seal_qoe(telemetry::QoeOutcome outcome) {
   if (trace_id_ == 0) return;
   auto* hub = sim_.telemetry();
   if (hub == nullptr) return;
@@ -401,18 +391,7 @@ void BrowserSession::seal_qoe(SessionOutcome outcome) {
     queue_wait += (sim_.now() - queue_entered_at_).to_ms();  // still parked
   }
   rec.queue_wait_ms = queue_wait;
-  telemetry::QoeOutcome qoe = telemetry::QoeOutcome::kPending;
-  switch (outcome) {
-    case SessionOutcome::kPending: qoe = telemetry::QoeOutcome::kPending; break;
-    case SessionOutcome::kCompleted:
-      qoe = telemetry::QoeOutcome::kCompleted;
-      break;
-    case SessionOutcome::kDegraded:
-      qoe = telemetry::QoeOutcome::kDegraded;
-      break;
-    case SessionOutcome::kAborted: qoe = telemetry::QoeOutcome::kAborted; break;
-  }
-  hub->qoe().seal(trace_id_, qoe);
+  hub->qoe().seal(trace_id_, outcome);
 }
 
 void BrowserSession::request_topics() { send(proto::TopicListRequest{}); }
@@ -436,7 +415,8 @@ void BrowserSession::request_document(const std::string& name) {
   accumulate_playout_qoe();
   presentation_.reset();  // navigating away tears the old playout down
   pending_document_ = name;
-  if (!recovering_) outcome_ = SessionOutcome::kPending;  // a fresh fate
+  // A fresh fate, unless this request resumes a recovering session.
+  if (!recovering_) outcome_ = telemetry::QoeOutcome::kPending;
   if (first_request_at_ == Time::max()) first_request_at_ = sim_.now();
   transition(ClientState::kRequestingDocument);
   proto::DocumentRequest request{name};
@@ -645,7 +625,7 @@ void BrowserSession::handle(const proto::DocumentReply& m) {
     if (m.retryable_admission) {
       // Terminal admission rejection with no retry policy: a typed fate, so
       // the QoE/SLO plane accounts for the session instead of dropping it.
-      outcome_ = SessionOutcome::kAborted;
+      outcome_ = telemetry::QoeOutcome::kAborted;
       seal_qoe(outcome_);
       fail(util::Error{util::Error::Code::kAdmissionRejected,
                        "document refused: " + m.reason});
@@ -730,7 +710,7 @@ void BrowserSession::handle(const proto::StreamSetupReply& m) {
                      "stream setup refused: " + m.reason});
     return;
   }
-  presentation_->activate(m, server_.node);
+  presentation_->activate(m, config_.tcp);
   transition(ClientState::kViewing);
   if (!startup_recorded_ && first_request_at_ != Time::max()) {
     startup_recorded_ = true;

@@ -9,6 +9,7 @@
 #include "client/presentation.hpp"
 #include "net/tcp.hpp"
 #include "proto/messages.hpp"
+#include "telemetry/qoe.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 
@@ -31,17 +32,6 @@ enum class ClientState : std::uint8_t {
 };
 
 [[nodiscard]] std::string to_string(ClientState state);
-
-/// Typed terminal fate of a recovery-enabled session — the answer to "did
-/// the user get their presentation?", instead of a hung session.
-enum class SessionOutcome : std::uint8_t {
-  kPending = 0,  // still in flight (or never viewed a document)
-  kCompleted,    // presentation finished at the originally granted quality
-  kDegraded,     // finished, but re-admission forced lower quality floors
-  kAborted,      // recovery or admission retry budget exhausted; gave up
-};
-
-[[nodiscard]] std::string to_string(SessionOutcome outcome);
 
 /// Outage tolerance knobs (off by default: a session without recovery
 /// behaves exactly as before — no timers, no reconnects).
@@ -83,6 +73,8 @@ class BrowserSession {
  public:
   struct Config {
     PresentationRuntime::Config presentation;
+    /// Transport settings of the control connection and of every object
+    /// fetch.
     net::TcpParams tcp;
     /// Auto-send StreamSetup when a DocumentReply arrives.
     bool auto_setup = true;
@@ -162,7 +154,7 @@ class BrowserSession {
   [[nodiscard]] const util::Status& last_status() const { return last_status_; }
   /// Terminal fate of this session (meaningful once recovery is enabled or
   /// a presentation has finished).
-  [[nodiscard]] SessionOutcome outcome() const { return outcome_; }
+  [[nodiscard]] telemetry::QoeOutcome outcome() const { return outcome_; }
   [[nodiscard]] bool recovering() const { return recovering_; }
   [[nodiscard]] int recovery_count() const { return recoveries_; }
   [[nodiscard]] int floor_degradations() const { return floor_degradations_; }
@@ -261,7 +253,7 @@ class BrowserSession {
   void accumulate_playout_qoe();
   /// Seal the session's QoE record with its terminal outcome: the flight
   /// recorder frees the ring on completed, dumps it on degraded/aborted.
-  void seal_qoe(SessionOutcome outcome);
+  void seal_qoe(telemetry::QoeOutcome outcome);
 
   void handle(const proto::ConnectReply& m);
   void handle(const proto::SubscribeReply& m);
@@ -320,7 +312,7 @@ class BrowserSession {
   Time queue_entered_at_ = Time::max();      // parked in the server queue
   double queue_wait_ms_ = 0.0;  // completed queue stays, lifetime
   Time resume_position_;        // scenario position to resume playout from
-  SessionOutcome outcome_ = SessionOutcome::kPending;
+  telemetry::QoeOutcome outcome_ = telemetry::QoeOutcome::kPending;
   std::int64_t progress_marker_ = -1;  // liveness: last observed progress
   Time progress_stamp_;                // when the marker last advanced
   sim::Timer request_timer_{sim_};

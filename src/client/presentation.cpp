@@ -71,7 +71,7 @@ proto::StreamSetup PresentationRuntime::prepare_setup(
 }
 
 void PresentationRuntime::activate(const proto::StreamSetupReply& reply,
-                                   net::NodeId server_node) {
+                                   const net::TcpParams& tcp) {
   for (const auto& info : reply.streams) {
     StreamRuntime* found = find(info.stream_id);
     if (found == nullptr) {
@@ -102,7 +102,7 @@ void PresentationRuntime::activate(const proto::StreamSetupReply& reply,
             on_frame(*rt_ptr, frame);
           });
     } else if (!info.via_rtp) {
-      fetch_object(rt, server_node, info);
+      fetch_object(rt, info, tcp);
     }
 
     scheduler_->attach_stream(rt.spec.id, rt.buffer.get(), rt.frame_interval,
@@ -132,14 +132,14 @@ void PresentationRuntime::on_frame(StreamRuntime& rt,
 }
 
 void PresentationRuntime::fetch_object(
-    StreamRuntime& rt, net::NodeId /*server_node*/,
-    const proto::StreamSetupReply::StreamInfo& info) {
+    StreamRuntime& rt, const proto::StreamSetupReply::StreamInfo& info,
+    const net::TcpParams& tcp) {
   // The object lives on its media server's host (which may differ from the
   // control server when media servers run on their own machines, Fig. 3).
   rt.object_conn = net::StreamConnection::connect(
       net_, node_,
       net::Endpoint{static_cast<net::NodeId>(info.tcp_node), info.tcp_port},
-      config_.tcp);
+      tcp);
   StreamRuntime* rt_ptr = &rt;
   rt.object_conn->set_on_data([this, rt_ptr](
                                   std::span<const std::uint8_t> chunk) {

@@ -45,7 +45,6 @@ class PresentationRuntime {
     bool drop_on_overflow = true;
     bool record_events = false;
     Time rtcp_rr_interval = Time::sec(1);
-    net::TcpParams tcp;
     /// Scenario position to resume from (session recovery). Rides the
     /// StreamSetup as resume_offset_us so the server paces flows from here,
     /// and seeds the playout scheduler's clock to match.
@@ -64,8 +63,10 @@ class PresentationRuntime {
   proto::StreamSetup prepare_setup(const std::string& document_name);
 
   /// Phase 2: wire the server's reply (receivers learn sender RTCP
-  /// endpoints, object fetchers connect) and start the playout scheduler.
-  void activate(const proto::StreamSetupReply& reply, net::NodeId server_node);
+  /// endpoints, object fetchers connect over `tcp`, the session's transport
+  /// settings) and start the playout scheduler.
+  void activate(const proto::StreamSetupReply& reply,
+                const net::TcpParams& tcp);
 
   void pause();
   void resume();
@@ -131,8 +132,9 @@ class PresentationRuntime {
   /// The stream named `stream_id`, or null.
   [[nodiscard]] StreamRuntime* find(std::string_view stream_id);
   void on_frame(StreamRuntime& rt, const rtp::ReceivedFrame& frame);
-  void fetch_object(StreamRuntime& rt, net::NodeId server_node,
-                    const proto::StreamSetupReply::StreamInfo& info);
+  void fetch_object(StreamRuntime& rt,
+                    const proto::StreamSetupReply::StreamInfo& info,
+                    const net::TcpParams& tcp);
 
   net::Network& net_;
   sim::Simulator& sim_;

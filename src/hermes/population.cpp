@@ -470,7 +470,7 @@ PopulationResult run_population(const PopulationConfig& cfg, int threads) {
     } else if (st.churned) {
       ++r.churned;
     } else if (st.finished) {
-      if (st.session->outcome() == client::SessionOutcome::kCompleted) {
+      if (st.session->outcome() == telemetry::QoeOutcome::kCompleted) {
         ++r.completed;
       } else {
         ++r.degraded;
@@ -532,7 +532,7 @@ PopulationResult run_population(const PopulationConfig& cfg, int threads) {
     csv += ',';
     csv += std::to_string(static_cast<int>(
         states[i].session != nullptr ? states[i].session->outcome()
-                                     : client::SessionOutcome::kPending));
+                                     : telemetry::QoeOutcome::kPending));
     csv += ',';
     csv += std::to_string(rec != nullptr ? rec->fresh_slots : 0);
     csv += ',';

@@ -19,9 +19,9 @@ Link::Link(sim::Simulator& sim, sim::Simulator& deliver_sim,
     auto& tr = hub->tracer();
     trace_track_ = tr.track("link/" + name_);
     n_queue_bytes_ = tr.name("queue_bytes");
-    n_drop_queue_ = tr.name("drop/queue");
-    n_drop_loss_ = tr.name("drop/loss");
-    n_drop_down_ = tr.name("drop/down");
+    n_dropped_queue_ = tr.name("drop/queue");
+    n_dropped_loss_ = tr.name("drop/loss");
+    n_dropped_down_ = tr.name("drop/down");
     n_train_ = tr.name("train");
   }
 }
@@ -49,56 +49,30 @@ void Link::pop_override() {
   override_stack_.pop_back();
 }
 
-void Link::drop_down(Packet&& pkt) {
-  ++stats_.offered;
-  ++stats_.dropped_down;
-  LOG_TRACE << "link " << name_ << " down, dropping pkt " << pkt.id;
+void Link::drop(Packet&& pkt, std::int64_t& counter, const char* what,
+                telemetry::NameId instant) {
+  ++counter;
+  LOG_TRACE << "link " << name_ << what << pkt.id;
   if (auto* hub = sim_.telemetry()) {
-    hub->tracer().instant(trace_track_, n_drop_down_, sim_.now());
+    hub->tracer().instant(trace_track_, instant, sim_.now());
   }
   if (pool_ != nullptr) pool_->release(std::move(pkt.payload));
 }
 
 void Link::transmit(Packet&& pkt) {
-  if (!up_) {
-    drop_down(std::move(pkt));
-    return;
-  }
-  if (is_conduit()) {
-    offer(std::move(pkt), sim_.now());
-    flush_mailbox();
-    return;
-  }
-  if (!params_.batching) {
-    transmit_unbatched(std::move(pkt));
-    return;
-  }
-  offer(std::move(pkt), sim_.now());
+  offer(std::move(pkt));
+  flush_mailbox();
 }
 
 void Link::send_train(std::vector<Packet>& train) {
-  if (!up_) {
-    for (auto& pkt : train) drop_down(std::move(pkt));
-    train.clear();
-    return;
-  }
   if (is_conduit()) {
-    const Time now = sim_.now();
     mailbox_.reserve(mailbox_.size() + train.size());
-    for (auto& pkt : train) offer(std::move(pkt), now);
-    train.clear();
-    flush_mailbox();
-    return;
+  } else if (params_.batching) {
+    calendar_.reserve(calendar_.size() + train.size());
   }
-  if (!params_.batching) {
-    for (auto& pkt : train) transmit_unbatched(std::move(pkt));
-    train.clear();
-    return;
-  }
-  const Time now = sim_.now();
-  calendar_.reserve(calendar_.size() + train.size());
-  for (auto& pkt : train) offer(std::move(pkt), now);
+  for (auto& pkt : train) offer(std::move(pkt));
   train.clear();
+  flush_mailbox();
 }
 
 void Link::drain_transit(Time t) {
@@ -109,7 +83,7 @@ void Link::drain_transit(Time t) {
     queued_bytes_ -= entry.size;
     if (hub != nullptr) {
       // Historical timestamp: the sample carries the serialization-finish
-      // instant the unbatched dequeue event would have fired at.
+      // instant the reference path's dequeue event fires at.
       hub->tracer().counter(trace_track_, n_queue_bytes_, entry.finish,
                             static_cast<double>(queued_bytes_));
     }
@@ -125,39 +99,34 @@ void Link::drain_transit(Time t) {
   }
 }
 
-void Link::offer(Packet&& pkt, Time t_offer) {
-  // Retire finished serializations first so the queue-capacity check sees
-  // the same occupancy the unbatched path's dequeue events would have left.
-  drain_transit(t_offer);
-
+void Link::offer(Packet&& pkt) {
+  const Time now = sim_.now();
   ++stats_.offered;
+  if (!up_) {
+    drop(std::move(pkt), stats_.dropped_down, " down, dropping pkt ",
+         n_dropped_down_);
+    return;
+  }
+  // Retire finished serializations first so the queue-capacity check sees
+  // the same occupancy the reference path's dequeue events leave.
+  drain_transit(now);
   const std::size_t size = pkt.wire_size();
-
   if (queued_bytes_ + size > params_.queue_capacity_bytes) {
-    ++stats_.dropped_queue;
-    LOG_TRACE << "link " << name_ << " queue drop pkt " << pkt.id;
-    if (auto* hub = sim_.telemetry()) {
-      hub->tracer().instant(trace_track_, n_drop_queue_, t_offer);
-    }
-    if (pool_ != nullptr) pool_->release(std::move(pkt.payload));
+    drop(std::move(pkt), stats_.dropped_queue, " queue drop pkt ",
+         n_dropped_queue_);
     return;
   }
   if (params_.loss && params_.loss->drop(rng_)) {
-    ++stats_.dropped_loss;
-    LOG_TRACE << "link " << name_ << " random loss pkt " << pkt.id;
-    if (auto* hub = sim_.telemetry()) {
-      hub->tracer().instant(trace_track_, n_drop_loss_, t_offer);
-    }
-    if (pool_ != nullptr) pool_->release(std::move(pkt.payload));
+    drop(std::move(pkt), stats_.dropped_loss, " random loss pkt ",
+         n_dropped_loss_);
     return;
   }
 
-  const Time start = std::max(t_offer, busy_until_);
-  stats_.queueing_delay_ms.add((start - t_offer).to_ms());
+  const Time start = std::max(now, busy_until_);
+  stats_.queueing_delay_ms.add((start - now).to_ms());
   const Time finish = start + serialization_time(size);
   busy_until_ = finish;
   queued_bytes_ += size;
-  transit_.push_back(TransitEntry{finish, size});
 
   if (params_.corruption_prob > 0 && !pkt.payload.empty() &&
       rng_.bernoulli(params_.corruption_prob)) {
@@ -176,38 +145,59 @@ void Link::offer(Packet&& pkt, Time t_offer) {
   const Time arrival = finish + params_.propagation + extra;
 
   if (auto* hub = sim_.telemetry()) {
-    hub->tracer().counter(trace_track_, n_queue_bytes_, t_offer,
+    hub->tracer().counter(trace_track_, n_queue_bytes_, now,
                           static_cast<double>(queued_bytes_));
   }
 
-  if (is_conduit()) {
-    // Admission arithmetic above is byte-identical to the local path; only
-    // the hand-off differs. The packet waits in the mailbox until the
-    // enclosing transmit()/send_train() posts the batch to the executor.
-    mailbox_.push_back(PendingArrival{std::move(pkt), arrival});
+  if (!is_conduit() && !params_.batching) {
+    // The per-packet reference: a dequeue event at `finish` and an arrival
+    // event, the two events the calendar saves. Telemetry stays passive: the
+    // queue-depth sample rides the dequeue event that exists regardless.
+    sim_.schedule_at(finish, [this, size] {
+      queued_bytes_ -= size;
+      if (auto* hub = sim_.telemetry()) {
+        hub->tracer().counter(trace_track_, n_queue_bytes_, sim_.now(),
+                              static_cast<double>(queued_bytes_));
+      }
+    });
+    sim_.schedule_at(arrival, [this, p = std::move(pkt), size]() mutable {
+      ++stats_.delivered;
+      stats_.bytes_delivered += static_cast<std::int64_t>(size);
+      deliver_(std::move(p));
+    });
     return;
   }
-  insert_calendar(PendingArrival{std::move(pkt), arrival});
+  transit_.push_back(TransitEntry{finish, size});
+  PendingArrival item{std::move(pkt), arrival, stats_.offered};
+  if (is_conduit()) {
+    // The packet waits in the mailbox until the enclosing
+    // transmit()/send_train() posts the batch to the executor.
+    mailbox_.push_back(std::move(item));
+    return;
+  }
+  insert_calendar(std::move(item));
 }
 
 void Link::insert_calendar(PendingArrival&& item) {
-  // Calendar insertion. Back-to-back bursts arrive monotonically, so the
-  // common case is a push_back; jitter can reorder, handled by a stable
-  // sorted insert (after equal arrivals — FIFO among ties, matching the
-  // schedule-order semantics of per-packet arrival events).
-  if (calendar_.size() == calendar_head_ ||
-      item.arrival >= calendar_.back().arrival) {
+  // (arrival, offer index) is a total order, so the calendar does not depend
+  // on insertion order: a conduit's batches, which the executor injects by
+  // their earliest arrival, land where the sequential kernel's offers put
+  // them, and equal arrivals deliver in offer order, as the reference path's
+  // arrival events fire. Offers mostly come in that order, so the common
+  // case is a push_back.
+  const auto before = [](const PendingArrival& a, const PendingArrival& b) {
+    return a.arrival != b.arrival ? a.arrival < b.arrival
+                                  : a.offer_index < b.offer_index;
+  };
+  if (calendar_.size() == calendar_head_ || before(calendar_.back(), item)) {
     calendar_.push_back(std::move(item));
     if (calendar_.size() - calendar_head_ == 1) arm_chain();
     return;
   }
-  const Time arrival = item.arrival;
-  const auto pos = std::upper_bound(
-      calendar_.begin() + static_cast<std::ptrdiff_t>(calendar_head_),
-      calendar_.end(), arrival,
-      [](Time t, const PendingArrival& it) { return t < it.arrival; });
-  const bool new_head =
-      pos == calendar_.begin() + static_cast<std::ptrdiff_t>(calendar_head_);
+  const auto head =
+      calendar_.begin() + static_cast<std::ptrdiff_t>(calendar_head_);
+  const auto pos = std::upper_bound(head, calendar_.end(), item, before);
+  const bool new_head = pos == head;
   calendar_.insert(pos, std::move(item));
   if (new_head) arm_chain();
 }
@@ -292,75 +282,6 @@ void Link::fire_chain() {
     tr.begin(trace_track_, n_train_, fired_at);
     tr.end(trace_track_, last_delivered);
   }
-}
-
-void Link::transmit_unbatched(Packet&& pkt) {
-  ++stats_.offered;
-  const std::size_t size = pkt.wire_size();
-
-  if (queued_bytes_ + size > params_.queue_capacity_bytes) {
-    ++stats_.dropped_queue;
-    LOG_TRACE << "link " << name_ << " queue drop pkt " << pkt.id;
-    if (auto* hub = sim_.telemetry()) {
-      hub->tracer().instant(trace_track_, n_drop_queue_, sim_.now());
-    }
-    if (pool_ != nullptr) pool_->release(std::move(pkt.payload));
-    return;
-  }
-  if (params_.loss && params_.loss->drop(rng_)) {
-    ++stats_.dropped_loss;
-    LOG_TRACE << "link " << name_ << " random loss pkt " << pkt.id;
-    if (auto* hub = sim_.telemetry()) {
-      hub->tracer().instant(trace_track_, n_drop_loss_, sim_.now());
-    }
-    if (pool_ != nullptr) pool_->release(std::move(pkt.payload));
-    return;
-  }
-
-  const Time now = sim_.now();
-  const Time start = std::max(now, busy_until_);
-  stats_.queueing_delay_ms.add((start - now).to_ms());
-  const Time finish = start + serialization_time(size);
-  busy_until_ = finish;
-  queued_bytes_ += size;
-
-  if (params_.corruption_prob > 0 && !pkt.payload.empty() &&
-      rng_.bernoulli(params_.corruption_prob)) {
-    // Flip one bit of a random payload byte (classic line-noise model).
-    const auto at = static_cast<std::size_t>(rng_.below(pkt.payload.size()));
-    pkt.payload[at] ^= static_cast<std::uint8_t>(1u << rng_.below(8));
-    ++stats_.corrupted;
-  }
-
-  Time extra = Time::zero();
-  if (params_.jitter_stddev > Time::zero() || params_.jitter_mean > Time::zero()) {
-    const double j = rng_.normal(params_.jitter_mean.to_seconds(),
-                                 params_.jitter_stddev.to_seconds());
-    extra = Time::seconds(std::max(0.0, j));
-  }
-  const Time arrival = finish + params_.propagation + extra;
-
-  if (auto* hub = sim_.telemetry()) {
-    hub->tracer().counter(trace_track_, n_queue_bytes_, now,
-                          static_cast<double>(queued_bytes_));
-  }
-
-  // Telemetry stays passive: the queue-depth sample at `finish` rides the
-  // dequeue event that exists regardless, so traced and untraced runs
-  // execute the identical event sequence.
-  sim_.schedule_at(finish, [this, size] {
-    queued_bytes_ -= size;
-    if (auto* hub = sim_.telemetry()) {
-      hub->tracer().counter(trace_track_, n_queue_bytes_, sim_.now(),
-                            static_cast<double>(queued_bytes_));
-    }
-  });
-  sim_.schedule_at(arrival,
-                   [this, p = std::move(pkt), size]() mutable {
-                     ++stats_.delivered;
-                     stats_.bytes_delivered += static_cast<std::int64_t>(size);
-                     deliver_(std::move(p));
-                   });
 }
 
 void Link::flush_telemetry() {

@@ -27,12 +27,14 @@ struct LinkParams {
   /// Bit-error injection: probability that a traversing packet has one
   /// random payload byte flipped (transports must detect or tolerate it).
   double corruption_prob = 0.0;
-  /// Batched transfer path: admitted packets go onto a per-link arrival
-  /// calendar drained by a single chained event instead of two scheduled
-  /// events per packet. Per-packet timestamps, loss outcomes and stats are
-  /// identical to the unbatched path (the event count is not). Kept as a
-  /// flag so differential tests can pin the equivalence down; applies to
-  /// packets offered after a set_params() call.
+  /// Batched delivery: admitted packets go onto a per-link arrival calendar
+  /// drained by a single chained event. false selects the per-packet
+  /// reference delivery, two scheduled events per packet (a dequeue at
+  /// serialization finish, then the arrival). One admission routine decides
+  /// every packet's fate, timestamps and stats either way, so only the event
+  /// count differs; the flag is the reference side of the batching
+  /// differential tests. Applies to packets offered after a set_params()
+  /// call, so a link may switch mid-run in either direction.
   bool batching = true;
 };
 
@@ -59,10 +61,11 @@ class Link {
   /// runs on `deliver_sim`. Requires params().propagation >= the executor
   /// lookahead for the lifetime of the link — a push_override() must not
   /// lower a cross link's propagation below it (post() throws when the
-  /// contract breaks). Conduits always use the calendar path (the per-packet
-  /// unbatched reference path would schedule onto the far simulator from the
-  /// source thread), and skip per-event tracer emission (the trace track
-  /// lives in the source partition's hub; counters still flush post-run).
+  /// contract breaks). Conduits always deliver through the calendar (the
+  /// per-packet reference delivery would schedule onto the far simulator
+  /// from the source thread), and skip per-event tracer emission (the trace
+  /// track lives in the source partition's hub; counters still flush
+  /// post-run).
   /// An ordinary link passes its own simulator twice and a null `exec`.
   Link(sim::Simulator& sim, sim::Simulator& deliver_sim,
        sim::ParallelExec* exec, std::uint32_t src_partition,
@@ -83,8 +86,8 @@ class Link {
   /// decisions are applied in offer order, and survivors are delivered from
   /// ~one chained arrival event carrying per-packet timestamps — collapsing
   /// 2k events per k-packet burst to ~2. Consumes the vector (packets are
-  /// moved out); with batching disabled this degrades to per-packet
-  /// transmit() calls.
+  /// moved out); with batching disabled each survivor gets the reference
+  /// delivery's two events.
   void send_train(std::vector<Packet>& train);
 
   [[nodiscard]] NodeId to_node() const { return to_; }
@@ -101,7 +104,7 @@ class Link {
   /// drops every packet offered to it (counted in Stats::dropped_down);
   /// packets already admitted to the arrival calendar — or queued for
   /// serialization — were "on the wire" and still deliver, so the batched
-  /// train calendar needs no flushing and batched/unbatched paths stay
+  /// train calendar needs no flushing and batched/reference deliveries stay
   /// behaviourally identical under faults.
   void set_up(bool up);
   [[nodiscard]] bool up() const { return up_; }
@@ -128,17 +131,17 @@ class Link {
     util::Sampler queueing_delay_ms;  // time spent waiting for serialization
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t queued_bytes() const { return queued_bytes_; }
 
   /// Snapshot counters into the telemetry hub's metric registry
   /// (link/<name>/* family). No-op without a hub.
   void flush_telemetry();
 
  private:
-  /// One admitted packet awaiting delivery (batched path).
+  /// One admitted packet awaiting calendar delivery.
   struct PendingArrival {
     Packet pkt;
     Time arrival;
+    std::int64_t offer_index;  // Stats::offered at its offer: breaks ties
   };
   /// One serialization in progress: queued_bytes_ drops by `size` at
   /// `finish`. Drained lazily (at offers and chain firings) instead of
@@ -149,14 +152,16 @@ class Link {
   };
 
   [[nodiscard]] Time serialization_time(std::size_t bytes) const;
-  /// Count + discard one packet offered while the link is down.
-  void drop_down(Packet&& pkt);
-  void transmit_unbatched(Packet&& pkt);
-  /// Batched admission: queue/loss decisions + closed-form finish/arrival,
-  /// then calendar insertion. No events scheduled beyond (re)arming the
-  /// chain. `t_offer` is the packet's logical offer instant (== sim_.now()).
-  void offer(Packet&& pkt, Time t_offer);
-  /// Sorted insert into the arrival calendar (FIFO among equal arrivals),
+  /// Count one refused packet in `counter` (a Stats drop class), log it as
+  /// `what`, trace the `instant` and recycle its payload.
+  void drop(Packet&& pkt, std::int64_t& counter, const char* what,
+            telemetry::NameId instant);
+  /// The link's one admission routine, at sim_.now(): the down check, the
+  /// queue check and loss draw, closed-form serialization finish, corruption
+  /// and jitter. A survivor then goes to the mailbox (conduit), the calendar
+  /// (batched) or the reference delivery's two events.
+  void offer(Packet&& pkt);
+  /// Sorted insert into the arrival calendar by (arrival, offer index),
   /// re-arming the chain when the head changes. Shared by the local batched
   /// path (at offer time) and the conduit path (at the executor barrier).
   void insert_calendar(PendingArrival&& item);
@@ -189,8 +194,8 @@ class Link {
   std::vector<LinkParams> override_stack_;  // saved params, LIFO
   Stats stats_;
 
-  // Batched-path state: arrival calendar (sorted by arrival, FIFO among
-  // equals; head_ indexes the first undelivered item) and the transit queue.
+  // Calendar state: arrival calendar (sorted by arrival, then offer index;
+  // head_ indexes the first undelivered item) and the transit queue.
   std::vector<PendingArrival> calendar_;
   std::size_t calendar_head_ = 0;
   std::vector<TransitEntry> transit_;
@@ -211,9 +216,9 @@ class Link {
   // installed on the simulator (unused otherwise).
   telemetry::TrackId trace_track_ = telemetry::kInvalidTraceId;
   telemetry::NameId n_queue_bytes_ = telemetry::kInvalidTraceId;
-  telemetry::NameId n_drop_queue_ = telemetry::kInvalidTraceId;
-  telemetry::NameId n_drop_loss_ = telemetry::kInvalidTraceId;
-  telemetry::NameId n_drop_down_ = telemetry::kInvalidTraceId;
+  telemetry::NameId n_dropped_queue_ = telemetry::kInvalidTraceId;
+  telemetry::NameId n_dropped_loss_ = telemetry::kInvalidTraceId;
+  telemetry::NameId n_dropped_down_ = telemetry::kInvalidTraceId;
   telemetry::NameId n_train_ = telemetry::kInvalidTraceId;
 };
 

@@ -141,15 +141,6 @@ AdmissionControl::Decision AdmissionControl::evaluate(const Request& request,
   return decision;
 }
 
-AdmissionControl::Decision AdmissionControl::evaluate_and_reserve(
-    const std::string& key, double demand_bps, double tier_utilization) {
-  Request request;
-  request.key = key;
-  request.tier_utilization = tier_utilization;
-  request.ladder.push_back(Candidate{0, demand_bps});
-  return evaluate(request, WaiterHooks{});
-}
-
 void AdmissionControl::drain_queue() {
   if (draining_ || waiters_.empty()) return;
   draining_ = true;

@@ -98,10 +98,6 @@ class AdmissionControl {
   /// rejected with a retry-after hint.
   Decision evaluate(const Request& request, WaiterHooks hooks = {});
 
-  /// Legacy single-rung evaluation; never queues or degrades.
-  Decision evaluate_and_reserve(const std::string& key, double demand_bps,
-                                double tier_utilization);
-
   void release(const std::string& key);
   /// Remove `key` from the wait queue without a decision callback (the
   /// client went away on its own). Returns true if a waiter was cancelled.

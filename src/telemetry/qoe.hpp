@@ -11,14 +11,15 @@
 
 namespace hyms::telemetry {
 
-/// Terminal quality-of-experience classification of one session. Mirrors
-/// client::SessionOutcome but lives in the telemetry layer so the QoE plane
-/// has no dependency on the client stack (tests fill records directly).
+/// Typed terminal fate of one session, the answer to "did the user get
+/// their presentation?": client::BrowserSession reports it and the QoE plane
+/// records it. It lives in the telemetry layer so the QoE plane has no
+/// dependency on the client stack (tests fill records directly).
 enum class QoeOutcome : std::uint8_t {
-  kPending = 0,
-  kCompleted,
-  kDegraded,
-  kAborted,
+  kPending = 0,  // still in flight (or never viewed a document)
+  kCompleted,    // presentation finished at the originally granted quality
+  kDegraded,     // finished, but re-admission forced lower quality floors
+  kAborted,      // recovery or admission retry budget exhausted; gave up
 };
 [[nodiscard]] std::string_view to_string(QoeOutcome outcome);
 

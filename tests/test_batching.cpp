@@ -144,6 +144,41 @@ TEST(SendTrainTest, NodeLocalTrainDeliversEachPacketInOrder) {
   EXPECT_EQ(net.payload_pool().size(), pooled_before + 5);
 }
 
+// LinkParams::batching applies to packets offered after set_params(), so a
+// link may switch to the reference delivery mid-run. Both deliveries share
+// one admission routine, so the bytes of a packet the calendar delivered
+// leave the queue before the next offer's capacity check on either.
+TEST(SendTrainTest, SwitchToReferenceMidRunSeesAnEmptyQueue) {
+  sim::Simulator sim(7);
+  net::Network net(sim);
+  const auto a = net.add_host("a");
+  const auto b = net.add_host("b");
+  auto lp = link_params(true);
+  lp.queue_capacity_bytes = 2000;  // room for one 1500-byte packet at a time
+  net.connect(a, b, lp);
+  net::Link* link = net.find_link(a, b);
+  ASSERT_NE(link, nullptr);
+  int received = 0;
+  net.bind(b, 50, [&](const net::Packet&) { ++received; });
+  const auto send_one = [&net, a, b] {
+    // 1472 payload bytes + the 28-byte IP/UDP header: 1500 on the wire.
+    net.send(net::Endpoint{a, 9}, net::Endpoint{b, 50}, net::Payload(1472, 1));
+  };
+
+  send_one();  // batched: delivered by the chain at its own arrival time
+  sim.schedule_at(Time::sec(1), [&] {
+    lp.batching = false;
+    link->set_params(lp);
+    send_one();
+  });
+  sim.run();
+
+  EXPECT_EQ(received, 2);
+  EXPECT_EQ(link->stats().offered, 2);
+  EXPECT_EQ(link->stats().delivered, 2);
+  EXPECT_EQ(link->stats().dropped_queue, 0);
+}
+
 // Same seed, same topology, same traffic — the only difference is the
 // batching flag. Arrival timestamps, packet ids and loss outcomes must match
 // exactly (the per-link RNG streams draw in offer order on both paths).

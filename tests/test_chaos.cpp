@@ -17,7 +17,7 @@ namespace {
 
 using client::BrowserSession;
 using client::ClientState;
-using client::SessionOutcome;
+using telemetry::QoeOutcome;
 
 // --- Link up/down + override stack ------------------------------------------------
 
@@ -346,7 +346,7 @@ TEST_F(CrashFixture, MidStreamLinkFlapResumesAtLastPosition) {
   sim_.run_until(Time::sec(40));
 
   EXPECT_GE(s->recovery_count(), 1);
-  EXPECT_EQ(s->outcome(), SessionOutcome::kCompleted)
+  EXPECT_EQ(s->outcome(), QoeOutcome::kCompleted)
       << to_string(s->outcome()) << ": " << s->last_error();
   // ~2.5s of content had played before the outage; the resumed setup must
   // carry that position (not restart from zero, not skip to the end).
@@ -384,7 +384,7 @@ TEST_F(CrashFixture, ServerCrashRestartRecovers) {
   sim_.run_until(Time::sec(60));
   EXPECT_EQ(server.stats().crashes, 1);
   EXPECT_GE(s->recovery_count(), 1);
-  EXPECT_EQ(s->outcome(), SessionOutcome::kCompleted)
+  EXPECT_EQ(s->outcome(), QoeOutcome::kCompleted)
       << to_string(s->outcome()) << ": " << s->last_error();
   EXPECT_GE(s->resume_position(), Time::sec(1));
 }
@@ -434,7 +434,7 @@ class ReadmissionFixture : public CrashFixture {
 TEST_F(ReadmissionFixture, RefusedReadmissionRetriesThenEndsTyped) {
   const auto s = run_outage_before_first_reply(Time::sec(60));
   EXPECT_TRUE(logged(*s, "recovery: re-requesting lesson"));
-  EXPECT_EQ(s->outcome(), SessionOutcome::kAborted)
+  EXPECT_EQ(s->outcome(), QoeOutcome::kAborted)
       << to_string(s->outcome()) << " in " << to_string(s->state());
   EXPECT_EQ(s->admission_retries(), 6);
   EXPECT_TRUE(logged(*s, "overload: giving up on admission"));
@@ -447,7 +447,7 @@ TEST_F(ReadmissionFixture, RefusedReadmissionRetriesThenEndsTyped) {
 TEST_F(ReadmissionFixture, RefusedReadmissionWithoutPatienceEndsAtOnce) {
   const auto s = run_outage_before_first_reply(Time::zero());
   EXPECT_TRUE(logged(*s, "recovery: re-requesting lesson"));
-  EXPECT_EQ(s->outcome(), SessionOutcome::kAborted)
+  EXPECT_EQ(s->outcome(), QoeOutcome::kAborted)
       << to_string(s->outcome()) << " in " << to_string(s->state());
   EXPECT_EQ(s->admission_retries(), 0);
   ASSERT_FALSE(s->last_status().ok());
@@ -458,7 +458,7 @@ TEST_F(ReadmissionFixture, RefusedReadmissionWithoutPatienceEndsAtOnce) {
 // --- Randomized chaos sweep -------------------------------------------------------
 
 struct ChaosRun {
-  SessionOutcome outcome = SessionOutcome::kPending;
+  QoeOutcome outcome = QoeOutcome::kPending;
   int recoveries = 0;
   int degradations = 0;
   std::int64_t faults_injected = 0;
@@ -510,7 +510,7 @@ ChaosRun run_chaos_session(std::uint64_t seed) {
   // under test: no chaos plan may leave a session hanging).
   const Time horizon = Time::sec(180);
   while (sim.now() < horizon &&
-         session.outcome() == SessionOutcome::kPending) {
+         session.outcome() == QoeOutcome::kPending) {
     sim.run_until(sim.now() + Time::sec(1));
   }
 
@@ -558,13 +558,13 @@ TEST(ChaosSweepTest, RandomizedPlansTerminateDeterministically) {
     const ChaosRun second = run_chaos_session(seed);
     ASSERT_EQ(first.fingerprint, second.fingerprint)
         << "seed " << seed << " is not reproducible";
-    ASSERT_NE(first.outcome, SessionOutcome::kPending)
+    ASSERT_NE(first.outcome, QoeOutcome::kPending)
         << "seed " << seed << " left the session hanging";
     switch (first.outcome) {
-      case SessionOutcome::kCompleted: ++completed; break;
-      case SessionOutcome::kDegraded: ++degraded; break;
-      case SessionOutcome::kAborted: ++aborted; break;
-      case SessionOutcome::kPending: break;
+      case QoeOutcome::kCompleted: ++completed; break;
+      case QoeOutcome::kDegraded: ++degraded; break;
+      case QoeOutcome::kAborted: ++aborted; break;
+      case QoeOutcome::kPending: break;
     }
     if (first.recoveries > 0) ++with_recovery;
   }

@@ -94,7 +94,7 @@ TEST(CausalTrace, SessionFormsOneConnectedTree) {
   session.connect("alice", "secret-alice");
   session.queue_document("lesson");
   sim.run_until(Time::sec(8));
-  ASSERT_EQ(session.outcome(), client::SessionOutcome::kCompleted);
+  ASSERT_EQ(session.outcome(), QoeOutcome::kCompleted);
   ASSERT_NE(session.trace_id(), 0u);
 
   // Group flow records by flow id; every id must belong to this session's

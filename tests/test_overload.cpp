@@ -43,7 +43,7 @@ TEST(AdmissionQueue, GrantsInPriorityThenFifoOrder) {
 
   // Fill capacity, then park four waiters: two priority-0 (FIFO among
   // themselves), one priority-2, one priority-1.
-  ASSERT_TRUE(adm.evaluate_and_reserve("tenant", 10e6, 1.0).admitted);
+  ASSERT_TRUE(adm.evaluate(make_request("tenant", 10e6)).admitted);
   std::vector<std::string> granted;
   const auto enqueue = [&](const std::string& key, int priority) {
     AdmissionControl::WaiterHooks hooks;
@@ -76,8 +76,8 @@ TEST(AdmissionQueue, HeadOfLineBlocksSmallerWaitersBehindIt) {
   cfg.queue_limit = 8;
   AdmissionControl adm(cfg, &sim);
 
-  ASSERT_TRUE(adm.evaluate_and_reserve("tenant-a", 5e6, 1.0).admitted);
-  ASSERT_TRUE(adm.evaluate_and_reserve("tenant-b", 3e6, 1.0).admitted);
+  ASSERT_TRUE(adm.evaluate(make_request("tenant-a", 5e6)).admitted);
+  ASSERT_TRUE(adm.evaluate(make_request("tenant-b", 3e6)).admitted);
   std::vector<std::string> granted;
   const auto enqueue = [&](const std::string& key, double demand) {
     AdmissionControl::WaiterHooks hooks;
@@ -109,7 +109,7 @@ TEST(AdmissionQueue, EqualDeadlinesExpireInEnqueueOrder) {
   cfg.queue_limit = 8;
   cfg.queue_deadline = Time::sec(2);
   AdmissionControl adm(cfg, &sim);
-  ASSERT_TRUE(adm.evaluate_and_reserve("tenant", 1e6, 1.0).admitted);
+  ASSERT_TRUE(adm.evaluate(make_request("tenant", 1e6)).admitted);
 
   // All enqueued at t=0 with the same deadline; expiry events land on the
   // same timestamp and must fire FIFO (kernel schedule order), so timeout
@@ -157,7 +157,7 @@ TEST(AdmissionLadder, PressureFlipsLadderToDeepestRungFirst) {
 
   // Unloaded (2/10 reserved, below the 0.5 threshold): best rung wins at
   // full quality even though deeper rungs would also fit.
-  ASSERT_TRUE(adm.evaluate_and_reserve("filler", 2e6, 1.0).admitted);
+  ASSERT_TRUE(adm.evaluate(make_request("filler", 2e6)).admitted);
   auto d = adm.evaluate(laddered("calm"));
   EXPECT_EQ(d.outcome, AdmissionControl::Outcome::kAdmitted);
   EXPECT_EQ(d.degraded_notches, 0);
@@ -167,7 +167,7 @@ TEST(AdmissionLadder, PressureFlipsLadderToDeepestRungFirst) {
   // Under pressure (6/10 reserved >= 0.5 threshold) the full 4 Mbps rung
   // STILL fits — but the ladder flips to deepest-rung-first: compress this
   // arrival to 1 Mbps to keep headroom for the crowd behind it.
-  ASSERT_TRUE(adm.evaluate_and_reserve("filler", 6e6, 1.0).admitted);
+  ASSERT_TRUE(adm.evaluate(make_request("filler", 6e6)).admitted);
   d = adm.evaluate(laddered("pressed"));
   EXPECT_EQ(d.outcome, AdmissionControl::Outcome::kDegraded);
   EXPECT_EQ(d.degraded_notches, 2);
@@ -185,7 +185,7 @@ TEST(AdmissionLadder, PopulatedQueueForcesPressureAtLowUtilization) {
   cfg.pressure_utilization = 0.95;  // utilization alone won't trip it below
   AdmissionControl adm(cfg, &sim);
 
-  ASSERT_TRUE(adm.evaluate_and_reserve("filler", 6e6, 1.0).admitted);
+  ASSERT_TRUE(adm.evaluate(make_request("filler", 6e6)).admitted);
   AdmissionControl::WaiterHooks hooks;
   hooks.on_grant = [](const AdmissionControl::Decision&) {};
   ASSERT_EQ(adm.evaluate(make_request("stuck", 9e6), std::move(hooks)).outcome,
@@ -209,7 +209,7 @@ TEST(AdmissionQueue, RetryAfterHintIsCapped) {
   cfg.capacity_bps = 1e6;
   cfg.queue_limit = 64;
   AdmissionControl adm(cfg, &sim);
-  ASSERT_TRUE(adm.evaluate_and_reserve("tenant", 1e6, 1.0).admitted);
+  ASSERT_TRUE(adm.evaluate(make_request("tenant", 1e6)).admitted);
 
   AdmissionControl::WaiterHooks keep;
   keep.on_grant = [](const AdmissionControl::Decision&) {};
@@ -234,7 +234,7 @@ TEST(AdmissionCrash, FailWaitersIsTypedAndLeaksNoDeadlineTimers) {
   cfg.queue_limit = 8;
   cfg.queue_deadline = Time::sec(4);
   AdmissionControl adm(cfg, &sim);
-  ASSERT_TRUE(adm.evaluate_and_reserve("tenant", 1e6, 1.0).admitted);
+  ASSERT_TRUE(adm.evaluate(make_request("tenant", 1e6)).admitted);
 
   int failed = 0;
   for (int i = 0; i < 3; ++i) {

@@ -1,12 +1,14 @@
 // Conservative parallel execution: the ParallelExec window/mailbox machinery
 // (canonical merge order, degenerate zero-lookahead windows, the post()
-// lookahead contract) and the Network's cross-partition lookahead math.
+// lookahead contract), the Network's cross-partition lookahead math and a
+// conduit calendar's order among equal arrivals.
 // Full-stack partitioned-vs-sequential byte-identity lives in
 // test_population. CI additionally runs this binary under TSan to prove the
 // barrier-windowed handoff is race-free.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -91,6 +93,63 @@ TEST(CrossLookaheadTest, RejectsBadInput) {
   EXPECT_EQ(w.net.find_link(a, b), nullptr);
   EXPECT_EQ(w.net.find_link(b, a), nullptr);
   EXPECT_EQ(w.net.cross_lookahead(), Time::max());
+}
+
+// --- Conduit calendar order ---------------------------------------------------
+
+/// Ids in delivery order at b of two trains on the link a->b (10 Mbps, 1250
+/// bytes on the wire: 1 ms serialization). At t=0 one packet leaves with
+/// 5 ms propagation and arrives at 6 ms; at 1 ms the propagation drops to
+/// 2 ms and three packets follow, arriving at 4, 5 and 6 ms. Partitioned, b
+/// sits on partition 1 behind a 2 ms lookahead, so both trains are mailed in
+/// one window and the executor injects the second first (its earliest
+/// arrival is smaller).
+std::vector<std::uint64_t> equal_arrival_order(bool partitioned) {
+  sim::Simulator s0, s1;
+  sim::ParallelExec exec;
+  exec.add_partition(s0);
+  exec.add_partition(s1);
+  auto net = partitioned ? std::make_unique<net::Network>(
+                               std::vector<sim::Simulator*>{&s0, &s1}, &exec)
+                         : std::make_unique<net::Network>(s0);
+  const net::NodeId a = net->add_host("a");
+  const net::NodeId b = net->add_host("b");
+  if (partitioned) net->set_node_partition(b, 1);
+  net::LinkParams params = with_propagation(Time::msec(5));
+  params.bandwidth_bps = 10e6;
+  net->connect(a, b, params);
+  net::Link* link = net->find_link(a, b);
+  std::vector<std::uint64_t> ids;
+  net->bind(b, 50, [&ids](const net::Packet& pkt) { ids.push_back(pkt.id); });
+  const auto train = [&net, a, b](std::size_t packets) {
+    std::vector<net::Payload> payloads(
+        packets, net::Payload(1250 - net::kIpUdpOverhead));
+    net->send_train(net::Endpoint{a, 9}, net::Endpoint{b, 50}, payloads);
+  };
+  s0.schedule_at(Time::zero(), [&train] { train(1); });
+  s0.schedule_at(Time::msec(1), [&] {
+    params.propagation = Time::msec(2);
+    link->set_params(params);
+    train(3);
+  });
+  net->finalize_routes();
+  if (partitioned) {
+    EXPECT_TRUE(link->is_conduit());
+    exec.set_lookahead(Time::msec(2));
+    exec.run_until(Time::msec(20), 2);
+  } else {
+    s0.run();
+  }
+  return ids;
+}
+
+/// A link's calendar orders equal arrivals by offer, whatever order the
+/// packets reach it in: packets 1 and 4 both arrive at 6 ms, and 1 was
+/// offered first on both kernels.
+TEST(ConduitOrderTest, EqualArrivalsDeliverInOfferOrder) {
+  const std::vector<std::uint64_t> sequential = equal_arrival_order(false);
+  EXPECT_EQ(sequential, (std::vector<std::uint64_t>{2, 3, 1, 4}));
+  EXPECT_EQ(equal_arrival_order(true), sequential);
 }
 
 // --- ParallelExec mechanics --------------------------------------------------

@@ -148,7 +148,7 @@ struct ZeroLatencyOutcome {
   Time lookahead;
   std::size_t messages = 0;  // cross-partition mailings (0 when sequential)
   std::vector<std::vector<std::string>> logs;
-  std::vector<client::SessionOutcome> outcomes;
+  std::vector<telemetry::QoeOutcome> outcomes;
   std::int64_t sent = 0;
   std::int64_t delivered = 0;
   std::int64_t dropped_no_route = 0;
@@ -223,7 +223,7 @@ TEST(PartitionedDeployment, ZeroPropagationForcesDegenerateWindowsStillIdentical
   EXPECT_EQ(seq.lookahead, Time::max());
   ASSERT_EQ(seq.outcomes.size(), 4u);
   for (const auto outcome : seq.outcomes) {
-    EXPECT_EQ(outcome, client::SessionOutcome::kCompleted);
+    EXPECT_EQ(outcome, telemetry::QoeOutcome::kCompleted);
   }
   for (const int threads : {1, 3}) {
     const ZeroLatencyOutcome par = run_zero_latency(3, threads);

@@ -430,7 +430,7 @@ ObjectFetch fetch_crafted_object(std::uint64_t declared,
   info.tcp_node = server;
   info.tcp_port = port;
   reply.streams.push_back(info);
-  runtime.activate(reply, server);
+  runtime.activate(reply, net::TcpParams{});
   sim.run_until(Time::sec(5));
   return {runtime.stats().objects_fetched, runtime.objects_stalled()};
 }

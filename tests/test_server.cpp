@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hermes/sample_content.hpp"
 #include "markup/parser.hpp"
 #include "server/admission.hpp"
@@ -217,9 +219,20 @@ TEST(PricingLedgerTest, ChargesAccumulate) {
 
 // --- admission -----------------------------------------------------------------------
 
+/// A request with the full-quality rung only: admitted or rejected, never
+/// degraded (and never queued, as no test below passes waiter hooks).
+AdmissionControl::Request one_rung(const std::string& key, double demand_bps,
+                                   double tier_utilization) {
+  AdmissionControl::Request request;
+  request.key = key;
+  request.tier_utilization = tier_utilization;
+  request.ladder.push_back(AdmissionControl::Candidate{0, demand_bps});
+  return request;
+}
+
 TEST(AdmissionTest, AdmitsWithinCeiling) {
   AdmissionControl admission({10e6});
-  const auto d = admission.evaluate_and_reserve("s1", 3e6, 0.8);
+  const auto d = admission.evaluate(one_rung("s1", 3e6, 0.8));
   EXPECT_TRUE(d.admitted);
   EXPECT_DOUBLE_EQ(admission.reserved_bps(), 3e6);
   EXPECT_EQ(admission.admitted_count(), 1);
@@ -227,8 +240,8 @@ TEST(AdmissionTest, AdmitsWithinCeiling) {
 
 TEST(AdmissionTest, RejectsOverCeiling) {
   AdmissionControl admission({10e6});
-  EXPECT_TRUE(admission.evaluate_and_reserve("s1", 6e6, 0.8).admitted);
-  const auto d = admission.evaluate_and_reserve("s2", 3e6, 0.8);
+  EXPECT_TRUE(admission.evaluate(one_rung("s1", 6e6, 0.8)).admitted);
+  const auto d = admission.evaluate(one_rung("s2", 3e6, 0.8));
   EXPECT_FALSE(d.admitted) << "6+3 > 8 Mbps ceiling";
   EXPECT_FALSE(d.reason.empty());
   EXPECT_EQ(admission.rejected_count(), 1);
@@ -237,19 +250,19 @@ TEST(AdmissionTest, RejectsOverCeiling) {
 
 TEST(AdmissionTest, HigherTierCeilingAdmitsMore) {
   AdmissionControl admission({10e6});
-  EXPECT_TRUE(admission.evaluate_and_reserve("s1", 6e6, 0.8).admitted);
+  EXPECT_TRUE(admission.evaluate(one_rung("s1", 6e6, 0.8)).admitted);
   // The same extra demand is rejected at basic utilization but admitted at
   // premium utilization — "a user who pays more should be serviced".
-  EXPECT_FALSE(admission.evaluate_and_reserve("s2", 3e6, 0.8).admitted);
-  EXPECT_TRUE(admission.evaluate_and_reserve("s2", 3e6, 0.97).admitted);
+  EXPECT_FALSE(admission.evaluate(one_rung("s2", 3e6, 0.8)).admitted);
+  EXPECT_TRUE(admission.evaluate(one_rung("s2", 3e6, 0.97)).admitted);
 }
 
 TEST(AdmissionTest, ReleaseFreesCapacity) {
   AdmissionControl admission({10e6});
-  EXPECT_TRUE(admission.evaluate_and_reserve("s1", 6e6, 0.8).admitted);
+  EXPECT_TRUE(admission.evaluate(one_rung("s1", 6e6, 0.8)).admitted);
   admission.release("s1");
   EXPECT_DOUBLE_EQ(admission.reserved_bps(), 0.0);
-  EXPECT_TRUE(admission.evaluate_and_reserve("s2", 7e6, 0.8).admitted);
+  EXPECT_TRUE(admission.evaluate(one_rung("s2", 7e6, 0.8)).admitted);
   // Releasing twice or a bogus key is harmless.
   admission.release("s1");
   admission.release("zzz");
@@ -257,10 +270,10 @@ TEST(AdmissionTest, ReleaseFreesCapacity) {
 
 TEST(AdmissionTest, SameKeyReplacesReservation) {
   AdmissionControl admission({10e6});
-  EXPECT_TRUE(admission.evaluate_and_reserve("s1", 5e6, 0.8).admitted);
+  EXPECT_TRUE(admission.evaluate(one_rung("s1", 5e6, 0.8)).admitted);
   // Re-requesting under the same session key (new document) replaces the
   // old reservation rather than stacking.
-  EXPECT_TRUE(admission.evaluate_and_reserve("s1", 6e6, 0.8).admitted);
+  EXPECT_TRUE(admission.evaluate(one_rung("s1", 6e6, 0.8)).admitted);
   EXPECT_DOUBLE_EQ(admission.reserved_bps(), 6e6);
 }
 
