@@ -1,6 +1,7 @@
 // Micro-benchmarks of the substrates (google-benchmark): DES event
 // throughput, media buffer operations, RTP/RTCP serialization, frame
-// generation, and the end-to-end emulated packet path.
+// generation, the RTP receive and TCP bulk paths, and the end-to-end
+// emulated packet path.
 //
 // `bench_micro --json` additionally writes the full results to
 // BENCH_micro.json (google-benchmark's JSON schema), so the perf trajectory
@@ -8,16 +9,21 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "buffer/media_buffer.hpp"
 #include "harness.hpp"
+#include "media/frame.hpp"
 #include "media/frame_cache.hpp"
 #include "media/source.hpp"
 #include "net/network.hpp"
+#include "net/tcp.hpp"
 #include "rtp/packets.hpp"
+#include "rtp/session.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -193,6 +199,7 @@ void BM_FrameCacheHit(benchmark::State& state) {
 BENCHMARK(BM_FrameCacheHit);
 
 void BM_FrameVerify(benchmark::State& state) {
+  // The one-buffer form: the fragment walker run over a single fragment.
   const auto payload = media::encode_frame_payload(1, 2, 0, 6000);
   for (auto _ : state) {
     auto meta = media::verify_frame_payload(payload);
@@ -202,6 +209,85 @@ void BM_FrameVerify(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 6000);
 }
 BENCHMARK(BM_FrameVerify);
+
+void BM_RtpReceivePath(benchmark::State& state) {
+  // The RTP media path end to end, as a client runs it: 3-fragment frames
+  // are packetized, cross a clean link, are reassembled in the wire buffers
+  // they arrived in and verified in the frame callback. The session lives
+  // across iterations, so pools and reassembly slots are warm. Items are
+  // frames.
+  sim::Simulator sim;
+  net::Network net(sim);
+  const auto a = net.add_host("a");
+  const auto b = net.add_host("b");
+  net::LinkParams lp;
+  lp.bandwidth_bps = 100e6;
+  lp.queue_capacity_bytes = 1 << 20;
+  net.connect(a, b, lp);
+  rtp::RtpReceiver::Params rp;
+  rp.rr_interval = Time::sec(3600);
+  rtp::RtpReceiver receiver(net, b, 0, net::Endpoint{}, rp);
+  std::int64_t verified = 0;
+  receiver.set_on_frame([&](const rtp::ReceivedFrame& f) {
+    if (media::verify_frame_payload(f.fragments)) ++verified;
+  });
+  rtp::RtpSender::Params sp;
+  sp.ssrc = 1;
+  sp.sr_interval = Time::sec(3600);
+  rtp::RtpSender sender(net, a, receiver.rtp_endpoint(), net::Endpoint{}, sp);
+  const auto frame = media::encode_frame_payload(1, 2, 0, 3 * sp.max_payload);
+  constexpr int kFrames = 100;
+  std::int64_t sent = 0;
+  for (auto _ : state) {
+    for (int k = 0; k < kFrames; ++k) {
+      sender.send_frame(frame, Time::msec(40 * sent++));
+      sim.run_until(sim.now() + Time::msec(1));
+    }
+    sim.run_until(sim.now() + Time::msec(50));
+    benchmark::DoNotOptimize(verified);
+  }
+  if (verified != sent) state.SkipWithError("a frame failed verification");
+  state.SetItemsProcessed(state.iterations() * kFrames);
+}
+BENCHMARK(BM_RtpReceivePath);
+
+void BM_TcpBulkTransfer(benchmark::State& state) {
+  // The reliable transport's bulk path: 100 KB per iteration over one
+  // connection on a clean link. Segments are encoded from the send buffer
+  // into pooled wire buffers and checksummed at both ends. The connection
+  // lives across iterations, so its window is open, as in the steady state
+  // of a large object fetch.
+  sim::Simulator sim;
+  net::Network net(sim);
+  const auto a = net.add_host("a");
+  const auto b = net.add_host("b");
+  net::LinkParams lp;
+  lp.bandwidth_bps = 100e6;
+  lp.queue_capacity_bytes = 1 << 20;
+  net.connect(a, b, lp);
+  std::unique_ptr<net::StreamConnection> server;
+  std::int64_t received = 0;
+  net::StreamListener listener(
+      net, b, 100, [&](std::unique_ptr<net::StreamConnection> conn) {
+        server = std::move(conn);
+        server->set_on_data([&](std::span<const std::uint8_t> bytes) {
+          received += static_cast<std::int64_t>(bytes.size());
+        });
+      });
+  auto client = net::StreamConnection::connect(net, a, net::Endpoint{b, 100});
+  sim.run();  // the handshake
+  const std::vector<std::uint8_t> data(100 * 1024, 0x5A);
+  for (auto _ : state) {
+    client->send(data);
+    sim.run();
+    benchmark::DoNotOptimize(received);
+  }
+  const auto bytes = static_cast<std::int64_t>(state.iterations()) *
+                     static_cast<std::int64_t>(data.size());
+  if (received != bytes) state.SkipWithError("bytes were lost");
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_TcpBulkTransfer);
 
 void BM_EmulatedPacketPath(benchmark::State& state) {
   // Cost of pushing one datagram through a 3-hop emulated path, including

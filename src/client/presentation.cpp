@@ -114,9 +114,9 @@ void PresentationRuntime::activate(const proto::StreamSetupReply& reply,
 void PresentationRuntime::on_frame(StreamRuntime& rt,
                                    const rtp::ReceivedFrame& frame) {
   ++stats_.frames_received;
-  // Checked in the receiver's reassembly buffer; the media buffer takes the
-  // frame's playout metadata only.
-  if (!media::verify_frame_payload(frame.payload)) {
+  // Checked in place, in the wire buffers the fragments arrived in; the
+  // media buffer takes the frame's playout metadata only.
+  if (!media::verify_frame_payload(frame.fragments)) {
     ++stats_.payload_corruptions;
     return;
   }

@@ -1,5 +1,8 @@
 #include "media/frame.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "net/wire.hpp"
 
 namespace hyms::media {
@@ -91,32 +94,76 @@ std::vector<std::uint8_t> encode_frame_payload(std::uint32_t source_hash,
 }
 
 std::optional<FrameBody> verify_frame_payload(
-    std::span<const std::uint8_t> payload) {
-  if (payload.size() < kHeaderBytes) return std::nullopt;
-  net::WireReader r(payload.data(), payload.size());
+    std::span<const std::span<const std::uint8_t>> fragments) {
+  std::size_t total = 0;
+  for (const auto fragment : fragments) total += fragment.size();
+  if (total < kHeaderBytes) return std::nullopt;
+  // The header, read in place, or gathered when a fragment boundary splits
+  // it. The cursor (frag, at) is then the first body byte.
+  const std::uint8_t* header = fragments[0].data();
+  std::array<std::uint8_t, kHeaderBytes> gathered{};
+  std::size_t frag = 0;
+  std::size_t at = kHeaderBytes;
+  if (fragments[0].size() < kHeaderBytes) {
+    at = 0;
+    for (std::size_t got = 0; got < kHeaderBytes;) {
+      if (at == fragments[frag].size()) {
+        ++frag;
+        at = 0;
+        continue;
+      }
+      const std::size_t take =
+          std::min(fragments[frag].size() - at, kHeaderBytes - got);
+      std::copy_n(fragments[frag].data() + at, take, gathered.data() + got);
+      got += take;
+      at += take;
+    }
+    header = gathered.data();
+  }
+  net::WireReader r(header, kHeaderBytes);
   if (r.u32() != kMagic) return std::nullopt;
   FrameBody meta;
   meta.source_hash = r.u32();
   meta.index = r.i64();
   meta.quality_level = r.u8();
   const std::uint32_t body_len = r.u32();
-  if (r.remaining() != body_len) return std::nullopt;
-  const std::uint8_t* body = r.cursor();
+  if (total - kHeaderBytes != body_len) return std::nullopt;
+  // Compare every body byte with the stream. Whole words are compared in
+  // place; a word that a fragment boundary splits (or the short last word)
+  // is compared byte by byte, `lane` carrying its position across the
+  // boundary (8: no word is open).
   std::uint64_t state =
       body_stream_seed(meta.source_hash, meta.index, meta.quality_level);
-  const std::size_t full = body_len / kWordBytes * kWordBytes;
+  std::uint64_t word = 0;
+  std::size_t lane = kWordBytes;
   std::uint64_t diff = 0;
-  for (std::size_t i = 0; i < full; i += kWordBytes) {
-    diff |= load_le64(body + i) ^ next_body_word(state);
-  }
-  if (full < body_len) {
-    const std::uint64_t last = next_body_word(state);
-    for (std::size_t i = full; i < body_len; ++i) {
-      diff |= body[i] ^ static_cast<std::uint8_t>(last >> (8 * (i - full)));
+  for (; frag < fragments.size(); ++frag, at = 0) {
+    const std::uint8_t* p = fragments[frag].data() + at;
+    const std::uint8_t* const end =
+        fragments[frag].data() + fragments[frag].size();
+    for (; lane < kWordBytes && p != end; ++p, ++lane) {
+      diff |= *p ^ static_cast<std::uint8_t>(word >> (8 * lane));
+    }
+    const std::uint8_t* const words_end =
+        p + (end - p) / kWordBytes * kWordBytes;
+    for (; p != words_end; p += kWordBytes) {
+      diff |= load_le64(p) ^ next_body_word(state);
+    }
+    if (p != end) {
+      word = next_body_word(state);
+      for (lane = 0; p != end; ++p, ++lane) {
+        diff |= *p ^ static_cast<std::uint8_t>(word >> (8 * lane));
+      }
     }
   }
   if (diff != 0) return std::nullopt;
   return meta;
+}
+
+std::optional<FrameBody> verify_frame_payload(
+    std::span<const std::uint8_t> payload) {
+  return verify_frame_payload(
+      std::span<const std::span<const std::uint8_t>>(&payload, 1));
 }
 
 }  // namespace hyms::media

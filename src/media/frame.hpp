@@ -21,6 +21,8 @@ struct FrameBody {
   std::uint32_t source_hash = 0;
   std::int64_t index = 0;
   int quality_level = 0;
+
+  friend bool operator==(const FrameBody&, const FrameBody&) = default;
 };
 
 [[nodiscard]] std::uint32_t hash_source_name(const std::string& name);
@@ -43,7 +45,14 @@ inline constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8 + 1 + 4;
     std::size_t total_bytes);
 
 /// Verify header + body integrity in place; returns decoded metadata on
-/// success.
+/// success. The payload may arrive as a list of fragments in order (an RTP
+/// frame checked in the wire buffers its fragments arrived in): the header
+/// may be split anywhere, and the body stream is carried across fragment
+/// boundaries, so the verdict and metadata equal those of the concatenated
+/// bytes, and no byte is copied beyond a split header.
+[[nodiscard]] std::optional<FrameBody> verify_frame_payload(
+    std::span<const std::span<const std::uint8_t>> fragments);
+/// The one-buffer form: the same walk over a single fragment.
 [[nodiscard]] std::optional<FrameBody> verify_frame_payload(
     std::span<const std::uint8_t> payload);
 

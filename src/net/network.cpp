@@ -189,9 +189,10 @@ void Network::deliver_local(Node& node, Packet&& pkt) {
   ++shard.stats.delivered;
   shard.end_to_end_delay_ms.add(
       (sims_[node.partition]->now() - pkt.injected_at).to_ms());
-  sock->deliver(pkt);
-  // Receivers see a const Packet& and copy what they keep, so the payload
-  // buffer can be recycled as soon as the callback returns.
+  sock->deliver(std::move(pkt));
+  // A receiver that kept the wire buffer moved it out, leaving a payload
+  // with no capacity, which release() ignores; any other buffer is recycled
+  // here, once the callback has returned.
   shard.pool.release(std::move(pkt.payload));
 }
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/link.hpp"
@@ -19,9 +20,14 @@ class Network;
 /// UDP-like unreliable datagram endpoint. Obtained from Network::bind; the
 /// receive callback fires in simulation time as packets arrive (possibly
 /// reordered, duplicated-free, lossy — exactly what RTP must cope with).
+/// The packet is handed over by rvalue: a receiver that keeps the wire bytes
+/// moves `payload` out and owns the buffer from then on (returning it to
+/// the node's PayloadPool when done); the network recycles whatever payload
+/// is left once the callback returns. A callback taking `const Packet&`
+/// only reads, and the buffer is recycled after it.
 class DatagramSocket {
  public:
-  using ReceiveFn = std::function<void(const Packet&)>;
+  using ReceiveFn = std::function<void(Packet&&)>;
 
   DatagramSocket(Network& net, Endpoint local) : net_(net), local_(local) {}
   DatagramSocket(const DatagramSocket&) = delete;
@@ -33,8 +39,8 @@ class DatagramSocket {
 
  private:
   friend class Network;
-  void deliver(const Packet& pkt) {
-    if (on_receive_) on_receive_(pkt);
+  void deliver(Packet&& pkt) {
+    if (on_receive_) on_receive_(std::move(pkt));
   }
 
   Network& net_;

@@ -1,8 +1,9 @@
 #include "net/tcp.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <ranges>
 
+#include "net/segment.hpp"
 #include "net/wire.hpp"
 #include "util/log.hpp"
 
@@ -16,63 +17,6 @@ constexpr std::size_t kMss = 1400;
 constexpr Time kMinRto = Time::msec(200);
 /// Slow start's first congestion window, in segments.
 constexpr std::size_t kInitialCwndSegments = 2;
-
-// Segment wire format: checksum(4) flags(1) seq(4) ack(4) len(2)
-// payload(len). The checksum (FNV-1a over everything after it) plays TCP's
-// checksum role: a segment corrupted on the wire is silently discarded and
-// recovered by retransmission.
-struct Segment {
-  std::uint8_t flags = 0;
-  std::uint32_t seq = 0;
-  std::uint32_t ack = 0;
-  std::span<const std::uint8_t> data;
-};
-
-std::uint32_t segment_checksum(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
-  return h;
-}
-
-Payload encode_segment(std::uint8_t flags, std::uint32_t seq,
-                       std::uint32_t ack,
-                       std::span<const std::uint8_t> data) {
-  Payload out;
-  out.reserve(15 + data.size());
-  WireWriter w(out);
-  w.u32(0);  // checksum placeholder
-  w.u8(flags);
-  w.u32(seq);
-  w.u32(ack);
-  w.u16(static_cast<std::uint16_t>(data.size()));
-  w.bytes(data.data(), data.size());
-  const std::uint32_t checksum = segment_checksum(out.data() + 4,
-                                                  out.size() - 4);
-  out[0] = static_cast<std::uint8_t>(checksum >> 24);
-  out[1] = static_cast<std::uint8_t>(checksum >> 16);
-  out[2] = static_cast<std::uint8_t>(checksum >> 8);
-  out[3] = static_cast<std::uint8_t>(checksum);
-  return out;
-}
-
-bool decode_segment(const Payload& payload, Segment& seg) {
-  if (payload.size() < 15) return false;
-  WireReader r(payload);
-  const std::uint32_t checksum = r.u32();
-  if (checksum != segment_checksum(payload.data() + 4, payload.size() - 4)) {
-    return false;  // corrupted on the wire: treat as lost
-  }
-  seg.flags = r.u8();
-  seg.seq = r.u32();
-  seg.ack = r.u32();
-  const std::uint16_t len = r.u16();
-  if (r.remaining() < len) return false;
-  seg.data = std::span<const std::uint8_t>{r.cursor(), len};
-  return true;
-}
 
 // 32-bit sequence comparison with wraparound (RFC 793 style).
 bool seq_lt(std::uint32_t a, std::uint32_t b) {
@@ -95,8 +39,9 @@ std::unique_ptr<StreamConnection> StreamConnection::connect(Network& net,
 StreamConnection::StreamConnection(Network& net, NodeId local_node,
                                    Endpoint remote, TcpParams params,
                                    bool passive)
-    : net_(net), sim_(net.sim_at(local_node)), params_(params),
-      remote_(remote), rto_(params.initial_rto) {
+    : net_(net), sim_(net.sim_at(local_node)),
+      pool_(&net.payload_pool(local_node)), params_(params), remote_(remote),
+      rto_(params.initial_rto) {
   socket_ = &net_.bind(local_node, 0,
                        [this](const Packet& pkt) { on_datagram(pkt); });
   local_ = socket_->local();
@@ -116,7 +61,7 @@ StreamConnection::~StreamConnection() {
 
 void StreamConnection::start_active_open() {
   state_ = State::kSynSent;
-  emit_segment(iss_, kSyn, {}, /*is_retransmit=*/false);
+  emit_segment(iss_, kSyn, 0, /*is_retransmit=*/false);
   snd_nxt_ = iss_ + 1;
   arm_rto();
 }
@@ -266,10 +211,7 @@ void StreamConnection::handle_ack(std::uint32_t ack) {
       const std::size_t len =
           std::min(kMss, send_buf_.size() - std::min(offset, send_buf_.size()));
       if (len > 0 && offset < send_buf_.size()) {
-        std::vector<std::uint8_t> chunk(
-            send_buf_.begin() + static_cast<std::ptrdiff_t>(offset),
-            send_buf_.begin() + static_cast<std::ptrdiff_t>(offset + len));
-        emit_segment(snd_una_, kData | kAck, chunk, /*is_retransmit=*/true);
+        emit_segment(snd_una_, kData | kAck, len, /*is_retransmit=*/true);
       }
     }
   }
@@ -339,10 +281,7 @@ void StreamConnection::try_send() {
     const std::size_t len =
         std::min({kMss, available, window - in_flight});
     if (len == 0) break;
-    std::vector<std::uint8_t> chunk(
-        send_buf_.begin() + static_cast<std::ptrdiff_t>(offset),
-        send_buf_.begin() + static_cast<std::ptrdiff_t>(offset + len));
-    emit_segment(snd_nxt_, kData | kAck, chunk,
+    emit_segment(snd_nxt_, kData | kAck, len,
                  /*is_retransmit=*/seq_lt(snd_nxt_, recover_point_));
     snd_nxt_ += static_cast<std::uint32_t>(len);
     arm_rto();
@@ -352,7 +291,7 @@ void StreamConnection::try_send() {
   const std::uint32_t buf_end =
       send_buf_base_ + static_cast<std::uint32_t>(send_buf_.size());
   if (fin_pending_ && !fin_sent_ && snd_nxt_ == buf_end) {
-    emit_segment(snd_nxt_, kFin | kAck, {}, /*is_retransmit=*/false);
+    emit_segment(snd_nxt_, kFin | kAck, 0, /*is_retransmit=*/false);
     fin_sent_ = true;
     snd_nxt_ += 1;
     arm_rto();
@@ -360,11 +299,10 @@ void StreamConnection::try_send() {
 }
 
 void StreamConnection::emit_segment(std::uint32_t seq, std::uint8_t flags,
-                                    std::span<const std::uint8_t> data,
-                                    bool is_retransmit) {
+                                    std::size_t len, bool is_retransmit) {
   ++stats_.segments_sent;
   const std::uint32_t seq_end =
-      seq + static_cast<std::uint32_t>(data.size()) +
+      seq + static_cast<std::uint32_t>(len) +
       (((flags & kSyn) || (flags & kFin)) ? 1 : 0);
   if (seq_lt(snd_max_, seq_end)) snd_max_ = seq_end;
   if (is_retransmit) {
@@ -375,17 +313,24 @@ void StreamConnection::emit_segment(std::uint32_t seq, std::uint8_t flags,
   } else if (!rtt_probe_active_ && ((flags & kData) || (flags & kSyn))) {
     rtt_probe_active_ = true;
     rtt_probe_seq_ =
-        seq + static_cast<std::uint32_t>(data.size()) + ((flags & kSyn) ? 1 : 0);
+        seq + static_cast<std::uint32_t>(len) + ((flags & kSyn) ? 1 : 0);
     rtt_probe_sent_at_ = sim_.now();
   }
   if (flags & kData) {
-    stats_.bytes_sent += static_cast<std::int64_t>(data.size());
+    stats_.bytes_sent += static_cast<std::int64_t>(len);
   }
-  socket_->send(remote_, encode_segment(flags, seq, rcv_nxt_, data));
+  // The payload is copied once, straight from the send buffer into the wire.
+  const auto first =
+      send_buf_.begin() +
+      static_cast<std::ptrdiff_t>(len == 0 ? 0 : seq - send_buf_base_);
+  const std::ranges::subrange data(first,
+                                   first + static_cast<std::ptrdiff_t>(len));
+  socket_->send(remote_, encode_segment(*pool_, flags, seq, rcv_nxt_, data));
 }
 
 void StreamConnection::send_ack() {
-  socket_->send(remote_, encode_segment(kAck, snd_nxt_, rcv_nxt_, {}));
+  socket_->send(remote_, encode_segment(*pool_, kAck, snd_nxt_, rcv_nxt_,
+                                        std::span<const std::uint8_t>{}));
 }
 
 void StreamConnection::arm_rto() {
@@ -401,7 +346,7 @@ void StreamConnection::on_rto() {
       teardown(CloseReason::kConnectTimeout);
       return;
     }
-    emit_segment(iss_, kSyn, {}, /*is_retransmit=*/true);
+    emit_segment(iss_, kSyn, 0, /*is_retransmit=*/true);
     rto_ = std::min(rto_ * 2, params_.max_rto);
     arm_rto();
     return;
@@ -414,7 +359,7 @@ void StreamConnection::on_rto() {
       teardown(CloseReason::kConnectTimeout);
       return;
     }
-    emit_segment(iss_, kSyn | kAck, {}, /*is_retransmit=*/true);
+    emit_segment(iss_, kSyn | kAck, 0, /*is_retransmit=*/true);
     rto_ = std::min(rto_ * 2, params_.max_rto);
     arm_rto();
     return;
@@ -479,7 +424,7 @@ StreamListener::StreamListener(Network& net, NodeId node, Port port,
         conn->irs_ = seg.seq;
         conn->rcv_nxt_ = seg.seq + 1;
         conn->emit_segment(conn->iss_,
-                           StreamConnection::kSyn | StreamConnection::kAck, {},
+                           StreamConnection::kSyn | StreamConnection::kAck, 0,
                            /*is_retransmit=*/false);
         conn->snd_nxt_ = conn->iss_ + 1;
         conn->arm_rto();

@@ -121,8 +121,10 @@ class StreamConnection {
   void handle_data(std::uint32_t seq, std::span<const std::uint8_t> data,
                    bool fin);
   void try_send();
-  void emit_segment(std::uint32_t seq, std::uint8_t flags,
-                    std::span<const std::uint8_t> data, bool is_retransmit);
+  /// Send one segment. A data segment carries the `len` send-buffer bytes
+  /// from `seq`; SYN, FIN and bare control segments pass 0.
+  void emit_segment(std::uint32_t seq, std::uint8_t flags, std::size_t len,
+                    bool is_retransmit);
   void send_ack();
   void arm_rto();
   void on_rto();
@@ -132,6 +134,7 @@ class StreamConnection {
 
   Network& net_;
   sim::Simulator& sim_;
+  PayloadPool* pool_;  // the connection node's partition pool
   TcpParams params_;
   Endpoint local_;
   Endpoint remote_;

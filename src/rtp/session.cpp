@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "util/log.hpp"
 
@@ -191,8 +192,9 @@ RtpReceiver::RtpReceiver(net::Network& net, net::NodeId node,
     n_lost_ = tr.name("rtcp/lost_cumulative");
     n_incomplete_ = tr.name("frame_incomplete");
   }
-  rtp_socket_ = &net_.bind(node, rtp_port,
-                           [this](const net::Packet& pkt) { on_rtp(pkt); });
+  rtp_socket_ = &net_.bind(node, rtp_port, [this](net::Packet&& pkt) {
+    on_rtp(std::move(pkt));
+  });
   rtcp_socket_ =
       &net_.bind(node, 0, [this](const net::Packet& pkt) { on_rtcp(pkt); });
   arm_receiver_report();
@@ -203,7 +205,7 @@ RtpReceiver::~RtpReceiver() {
   net_.unbind(rtcp_socket_->local());
 }
 
-void RtpReceiver::on_rtp(const net::Packet& pkt) {
+void RtpReceiver::on_rtp(net::Packet&& pkt) {
   const auto parsed = parse_rtp(pkt.payload);
   if (!parsed) {
     LOG_WARN << "rtp receiver: malformed RTP packet";
@@ -220,40 +222,40 @@ void RtpReceiver::on_rtp(const net::Packet& pkt) {
   update_sequence(rtp.header.sequence);
   update_jitter(rtp.header.timestamp, now);
 
-  // Reassemble the frame this fragment belongs to: the fragment's bytes are
-  // copied once, out of the wire buffer the network recycles after this
-  // callback, into the slot's part buffer.
+  // Reassemble the frame this fragment belongs to: the slot takes the wire
+  // buffer itself. A duplicate or out-of-range fragment is not taken, and
+  // the network recycles it after this callback.
   Assembly& asmb = assembly_for(rtp.header.timestamp, rtp.frag_count, now);
-  if (rtp.frag_index < asmb.frag_count && !asmb.parts[rtp.frag_index].filled) {
+  if (rtp.frag_index < asmb.frag_count &&
+      asmb.parts[rtp.frag_index].wire.empty()) {
     Part& part = asmb.parts[rtp.frag_index];
-    part.bytes.assign(rtp.payload.begin(), rtp.payload.end());
-    part.filled = true;
+    part.offset = static_cast<std::size_t>(rtp.payload.data() -
+                                           pkt.payload.data());
+    part.length = rtp.payload.size();
+    part.wire = std::move(pkt.payload);
     ++asmb.received;
     asmb.last_transit = transit;
   }
   if (asmb.received == asmb.frag_count) {
+    views_.clear();
+    for (std::uint16_t i = 0; i < asmb.frag_count; ++i) {
+      const Part& part = asmb.parts[i];
+      views_.emplace_back(part.wire.data() + part.offset, part.length);
+    }
     ReceivedFrame frame;
+    frame.fragments = views_;
     frame.rtp_timestamp = rtp.header.timestamp;
     frame.media_time = params_.clock.to_time(rtp.header.timestamp);
     frame.arrival = now;
     frame.network_transit = asmb.last_transit;
     frame.ssrc = rtp.header.ssrc;
-    if (asmb.frag_count == 1) {
-      frame.payload = asmb.parts[0].bytes;
-    } else {
-      joined_.clear();
-      for (std::uint16_t i = 0; i < asmb.frag_count; ++i) {
-        const auto& bytes = asmb.parts[i].bytes;
-        joined_.insert(joined_.end(), bytes.begin(), bytes.end());
-      }
-      frame.payload = joined_;
-    }
     asmb.live = false;
     --live_assemblies_;
     ++stats_.frames_delivered;
-    // The view stays valid through the callback: the slot is only reused by
-    // the next fragment, and joined_ by the next multi-fragment frame.
+    // The views stay valid through the callback; the buffers go back to
+    // the pool after it.
     if (on_frame_) on_frame_(frame);
+    release_parts(asmb);
   }
   evict_stale(now);
 }
@@ -273,18 +275,26 @@ RtpReceiver::Assembly& RtpReceiver::assembly_for(std::uint32_t rtp_ts,
     assemblies_.emplace_back();
     dead = &assemblies_.back();
   }
-  // Recycle the slot: the part buffers keep their capacity across frames.
+  // Recycle the slot: a dead slot holds no buffers, so every part is empty.
   Assembly& asmb = *dead;
   asmb.rtp_timestamp = rtp_ts;
   asmb.live = true;
   asmb.frag_count = frag_count;
   if (asmb.parts.size() < frag_count) asmb.parts.resize(frag_count);
-  for (std::uint16_t i = 0; i < frag_count; ++i) asmb.parts[i].filled = false;
   asmb.received = 0;
   asmb.first_arrival = now;
   asmb.last_transit = Time::zero();
   ++live_assemblies_;
   return asmb;
+}
+
+void RtpReceiver::release_parts(Assembly& asmb) {
+  for (std::uint16_t i = 0; i < asmb.frag_count; ++i) {
+    // exchange leaves the part empty even when the pool is full and lets
+    // the buffer go.
+    Part& part = asmb.parts[i];
+    if (!part.wire.empty()) pool_->release(std::exchange(part.wire, {}));
+  }
 }
 
 void RtpReceiver::update_sequence(std::uint16_t seq) {
@@ -324,6 +334,7 @@ void RtpReceiver::evict_stale(Time now) {
       ++stats_.frames_incomplete;
       asmb.live = false;
       --live_assemblies_;
+      release_parts(asmb);
       if (auto* hub = sim_.telemetry()) {
         hub->tracer().instant(trace_track_, n_incomplete_, now);
       }

@@ -135,10 +135,13 @@ class RtpSender {
 
 /// A reassembled media frame as delivered to the buffering layer.
 struct ReceivedFrame {
-  /// The frame's bytes, viewed in the receiver's recycled reassembly
-  /// buffers: valid only until the on_frame callback returns. A consumer
-  /// that keeps the bytes copies them inside the callback.
-  std::span<const std::uint8_t> payload;
+  /// The frame's bytes as one view per fragment, in fragment order, each
+  /// viewing the wire buffer that fragment arrived in (no byte is copied on
+  /// the way in). Valid only until the on_frame callback returns: the
+  /// receiver then returns the buffers to its node's payload pool. A
+  /// consumer that keeps the bytes copies them inside the callback;
+  /// media::verify_frame_payload checks the list in place.
+  std::span<const std::span<const std::uint8_t>> fragments;
   std::uint32_t rtp_timestamp = 0;
   Time media_time;     // rtp_timestamp mapped through the media clock
   Time arrival;        // simulation time the last fragment arrived
@@ -200,16 +203,19 @@ class RtpReceiver {
   void flush_telemetry();
 
  private:
-  /// One fragment's bytes, copied out of the wire buffer on arrival.
+  /// One fragment, held in the wire buffer it arrived in: the payload is
+  /// wire[offset, offset + length). An empty `wire` is a missing fragment.
   struct Part {
-    std::vector<std::uint8_t> bytes;  // keeps its capacity across frames
-    bool filled = false;
+    net::Payload wire;
+    std::size_t offset = 0;
+    std::size_t length = 0;
   };
   /// One in-flight frame reassembly. Slots live in a small flat array
   /// scanned linearly (a session rarely has more than one or two frames in
-  /// flight); dead slots are recycled, and `parts` never shrinks, so in
-  /// steady state a fragment is copied into a buffer that already has the
-  /// capacity and no fragment or frame allocates.
+  /// flight); dead slots are recycled, and `parts` never shrinks. A live
+  /// slot holds its fragments' wire buffers; they go back to the pool when
+  /// the frame is delivered or evicted, so a dead slot holds none, and in
+  /// steady state no fragment or frame allocates.
   struct Assembly {
     std::uint32_t rtp_timestamp = 0;
     bool live = false;
@@ -222,7 +228,9 @@ class RtpReceiver {
 
   Assembly& assembly_for(std::uint32_t rtp_ts, std::uint16_t frag_count,
                          Time now);
-  void on_rtp(const net::Packet& pkt);
+  /// Return the slot's held wire buffers to the pool.
+  void release_parts(Assembly& asmb);
+  void on_rtp(net::Packet&& pkt);
   void on_rtcp(const net::Packet& pkt);
   void update_sequence(std::uint16_t seq);
   void update_jitter(std::uint32_t rtp_ts, Time arrival);
@@ -261,7 +269,8 @@ class RtpReceiver {
 
   std::vector<Assembly> assemblies_;  // flat, linearly scanned, recycled
   std::size_t live_assemblies_ = 0;
-  std::vector<std::uint8_t> joined_;  // a multi-fragment frame, recycled
+  /// The delivered frame's fragment views, recycled across frames.
+  std::vector<std::span<const std::uint8_t>> views_;
   Stats stats_;
 
   telemetry::TrackId trace_track_ = telemetry::kInvalidTraceId;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <sstream>
 
 #include "client/browser_session.hpp"
@@ -12,6 +14,7 @@
 #include "markup/writer.hpp"
 #include "media/frame.hpp"
 #include "net/network.hpp"
+#include "net/segment.hpp"
 #include "net/tcp.hpp"
 #include "net/wire.hpp"
 #include "proto/messages.hpp"
@@ -221,8 +224,56 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RtpFuzz, ::testing::Range<std::uint64_t>(1, 5));
 
 /// Property: verify_frame_payload never crashes or reads past the payload
 /// (the ASan build runs these), and it accepts a payload only if that payload
-/// is byte for byte the encoding of the identity it decodes to.
+/// is byte for byte the encoding of the identity it decodes to. Every case
+/// runs both ways: over the one buffer, and through the fragment walker over
+/// that buffer split four ways (whole, into 1-byte fragments, cut inside the
+/// header, and at random points), whose verdicts and metadata must agree.
 class FramePayloadFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+using Fragments = std::vector<std::span<const std::uint8_t>>;
+
+/// `payload` cut at the sorted offsets `cuts` (empty fragments allowed).
+Fragments split_at(std::span<const std::uint8_t> payload,
+                   const std::vector<std::size_t>& cuts) {
+  Fragments out;
+  std::size_t from = 0;
+  for (const std::size_t cut : cuts) {
+    out.push_back(payload.subspan(from, cut - from));
+    from = cut;
+  }
+  out.push_back(payload.subspan(from));
+  return out;
+}
+
+std::vector<Fragments> splits_of(util::Rng& rng,
+                                 std::span<const std::uint8_t> payload) {
+  const std::size_t size = payload.size();
+  std::vector<std::size_t> bytewise;
+  for (std::size_t at = 1; at < size; ++at) bytewise.push_back(at);
+  std::vector<std::size_t> in_header;
+  const std::size_t header_cut = 1 + rng.below(media::kFrameHeaderBytes - 1);
+  if (header_cut < size) in_header.push_back(header_cut);
+  std::vector<std::size_t> random;
+  for (std::uint64_t n = rng.below(6); n > 0; --n) {
+    random.push_back(rng.below(size + 1));
+  }
+  std::ranges::sort(random);
+  return {split_at(payload, {}), split_at(payload, bytewise),
+          split_at(payload, in_header), split_at(payload, random)};
+}
+
+/// The one-buffer verdict on `payload`, once every split of it has given
+/// the same verdict and metadata through the fragment walker.
+std::optional<media::FrameBody> verify_both(
+    util::Rng& rng, const std::vector<std::uint8_t>& payload) {
+  const auto whole = media::verify_frame_payload(payload);
+  for (const Fragments& fragments : splits_of(rng, payload)) {
+    EXPECT_EQ(media::verify_frame_payload(fragments), whole)
+        << fragments.size() << " fragments of " << payload.size()
+        << " bytes";
+  }
+  return whole;
+}
 
 void expect_genuine(const std::vector<std::uint8_t>& payload,
                     const media::FrameBody& meta) {
@@ -246,6 +297,7 @@ std::vector<std::uint8_t> frame_header(util::Rng& rng, std::uint32_t body_len) {
 
 TEST_P(FramePayloadFuzz, RandomBytesAcceptedOnlyWhenGenuine) {
   util::Rng rng(GetParam());
+  util::Rng splits(GetParam() + 1000);
   for (int round = 0; round < 2000; ++round) {
     std::vector<std::uint8_t> payload;
     if (round % 2 == 1) {
@@ -255,13 +307,14 @@ TEST_P(FramePayloadFuzz, RandomBytesAcceptedOnlyWhenGenuine) {
     for (std::uint64_t i = 0; i < extra; ++i) {
       payload.push_back(static_cast<std::uint8_t>(rng.below(256)));
     }
-    const auto meta = media::verify_frame_payload(payload);
+    const auto meta = verify_both(splits, payload);
     if (meta) expect_genuine(payload, *meta);
   }
 }
 
 TEST_P(FramePayloadFuzz, BodyLenDisagreeingWithSizeRejected) {
   util::Rng rng(GetParam() + 17);
+  util::Rng splits(GetParam() + 1017);
   for (std::uint32_t body = 0; body <= 40; ++body) {
     const auto full = media::encode_frame_payload(
         static_cast<std::uint32_t>(rng.below(1ULL << 32)),
@@ -274,33 +327,34 @@ TEST_P(FramePayloadFuzz, BodyLenDisagreeingWithSizeRejected) {
       for (int b = 0; b < 4; ++b) {
         payload[17 + b] = static_cast<std::uint8_t>(claimed >> (24 - 8 * b));
       }
-      EXPECT_FALSE(media::verify_frame_payload(payload).has_value())
+      EXPECT_FALSE(verify_both(splits, payload).has_value())
           << "body " << body << " claimed " << claimed;
     }
     // Right body_len, wrong size: one byte appended or dropped.
     auto longer = full;
     longer.push_back(0);
-    EXPECT_FALSE(media::verify_frame_payload(longer).has_value()) << body;
+    EXPECT_FALSE(verify_both(splits, longer).has_value()) << body;
     if (body > 0) {
       auto shorter = full;
       shorter.pop_back();
-      EXPECT_FALSE(media::verify_frame_payload(shorter).has_value()) << body;
+      EXPECT_FALSE(verify_both(splits, shorter).has_value()) << body;
     }
   }
 }
 
 TEST_P(FramePayloadFuzz, TruncatedValidPayloadsRejected) {
   util::Rng rng(GetParam() + 99);
+  util::Rng splits(GetParam() + 1099);
   const auto full = media::encode_frame_payload(
       static_cast<std::uint32_t>(rng.below(1ULL << 32)),
       static_cast<std::int64_t>(rng.below(1ULL << 40)),
       static_cast<int>(rng.below(8)),
       media::kFrameHeaderBytes + rng.below(80));
-  ASSERT_TRUE(media::verify_frame_payload(full).has_value());
+  ASSERT_TRUE(verify_both(splits, full).has_value());
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     const std::vector<std::uint8_t> payload(
         full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut));
-    EXPECT_FALSE(media::verify_frame_payload(payload).has_value())
+    EXPECT_FALSE(verify_both(splits, payload).has_value())
         << "truncated to " << cut << " of " << full.size() << " bytes";
   }
 }
@@ -309,6 +363,7 @@ TEST_P(FramePayloadFuzz, SingleBitFlipsRejected) {
   // Body lengths 0..40 cover every tail length 0..7 and put a flipped byte
   // in each of the 8 lanes of a full word.
   util::Rng rng(GetParam() * 7 + 3);
+  util::Rng splits(GetParam() * 7 + 1003);
   for (std::size_t body = 0; body <= 40; ++body) {
     const media::FrameBody id{static_cast<std::uint32_t>(rng.below(1ULL << 32)),
                               static_cast<std::int64_t>(rng.below(1ULL << 40)),
@@ -320,7 +375,7 @@ TEST_P(FramePayloadFuzz, SingleBitFlipsRejected) {
       for (int bit = 0; bit < 8; ++bit) {
         auto payload = full;
         payload[pos] ^= static_cast<std::uint8_t>(1u << bit);
-        const auto meta = media::verify_frame_payload(payload);
+        const auto meta = verify_both(splits, payload);
         if (!meta) continue;
         // A flip in source_hash, index or level (bytes 4..16) changes the
         // stream seed. The first full word always differs then, but a body
@@ -338,7 +393,148 @@ TEST_P(FramePayloadFuzz, SingleBitFlipsRejected) {
   }
 }
 
+TEST_P(FramePayloadFuzz, FragmentWalkerAgreesOnRandomFrames) {
+  // Frames of up to 3 KB (so 1400-byte fragments split body words), intact,
+  // with one flipped bit, truncated, or one byte longer.
+  util::Rng rng(GetParam() * 13 + 5);
+  util::Rng splits(GetParam() * 13 + 1005);
+  for (int round = 0; round < 400; ++round) {
+    auto payload = media::encode_frame_payload(
+        static_cast<std::uint32_t>(rng.below(1ULL << 32)),
+        static_cast<std::int64_t>(rng.below(1ULL << 40)),
+        static_cast<int>(rng.below(8)),
+        media::kFrameHeaderBytes + rng.below(3000));
+    switch (round % 4) {
+      case 0:
+        ASSERT_TRUE(verify_both(splits, payload).has_value());
+        break;
+      case 1:
+        payload[rng.below(payload.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.below(8));
+        EXPECT_FALSE(verify_both(splits, payload).has_value());
+        break;
+      case 2:
+        payload.resize(rng.below(payload.size()));
+        EXPECT_FALSE(verify_both(splits, payload).has_value());
+        break;
+      default:
+        payload.push_back(static_cast<std::uint8_t>(rng.below(256)));
+        EXPECT_FALSE(verify_both(splits, payload).has_value());
+        break;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FramePayloadFuzz,
+                         ::testing::Range<std::uint64_t>(1, 5));
+
+// --- TCP segment codec fuzzing ---------------------------------------------------------
+
+/// Property: decode_segment never crashes or reads past the segment (the
+/// ASan build runs these), accepts a segment only when its checksum matches
+/// and its length word equals the payload it carries, and rejects every
+/// truncation and every single-bit flip of a valid segment.
+class SegmentFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+net::Payload valid_segment(util::Rng& rng, std::size_t len) {
+  std::vector<std::uint8_t> data(len);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.below(256));
+  net::PayloadPool pool;
+  return net::encode_segment(
+      pool, static_cast<std::uint8_t>(rng.below(16)),
+      static_cast<std::uint32_t>(rng.below(1ULL << 32)),
+      static_cast<std::uint32_t>(rng.below(1ULL << 32)), data);
+}
+
+TEST_P(SegmentFuzz, RandomBytesNeverCrash) {
+  util::Rng rng(GetParam());
+  int accepted = 0;
+  for (int round = 0; round < 2000; ++round) {
+    net::Payload wire(rng.below(80));
+    for (auto& byte : wire) byte = static_cast<std::uint8_t>(rng.below(256));
+    // Half the rounds carry a valid checksum, so random input gets past it
+    // to the length check.
+    if (round % 2 == 1 && wire.size() >= net::kSegmentHeaderBytes) {
+      net::seal_segment(wire);
+    }
+    net::Segment seg;
+    if (!net::decode_segment(wire, seg)) continue;
+    ++accepted;
+    EXPECT_EQ(seg.data.size(), wire.size() - net::kSegmentHeaderBytes);
+    EXPECT_EQ(seg.data.data(), wire.data() + net::kSegmentHeaderBytes);
+  }
+  // Only a sealed segment whose random length word happens to match.
+  EXPECT_LT(accepted, 10);
+}
+
+TEST_P(SegmentFuzz, EncodeDecodeRoundTrip) {
+  util::Rng rng(GetParam() + 7);
+  for (const std::size_t len : {0u, 1u, 3u, 4u, 7u, 8u, 9u, 1400u}) {
+    const auto wire = valid_segment(rng, len);
+    ASSERT_EQ(wire.size(), net::kSegmentHeaderBytes + len);
+    net::Segment seg;
+    ASSERT_TRUE(net::decode_segment(wire, seg)) << len;
+    EXPECT_TRUE(std::ranges::equal(
+        seg.data, std::span(wire).subspan(net::kSegmentHeaderBytes)));
+  }
+}
+
+TEST_P(SegmentFuzz, TruncatedSegmentsRejected) {
+  util::Rng rng(GetParam() + 99);
+  const auto full = valid_segment(rng, rng.below(200));
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    const net::Payload wire(full.begin(),
+                            full.begin() + static_cast<std::ptrdiff_t>(cut));
+    net::Segment seg;
+    EXPECT_FALSE(net::decode_segment(wire, seg))
+        << "truncated to " << cut << " of " << full.size() << " bytes";
+  }
+}
+
+TEST_P(SegmentFuzz, SingleBitFlipsRejected) {
+  // Payloads of 0..12 bytes put the checksummed region's end at every word
+  // and tail offset; a full-size segment follows.
+  util::Rng rng(GetParam() * 7 + 3);
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 12; ++len) lengths.push_back(len);
+  lengths.push_back(1400);
+  for (const std::size_t len : lengths) {
+    const auto full = valid_segment(rng, len);
+    for (std::size_t pos = 0; pos < full.size(); ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto wire = full;
+        wire[pos] ^= static_cast<std::uint8_t>(1u << bit);
+        net::Segment seg;
+        EXPECT_FALSE(net::decode_segment(wire, seg))
+            << "len " << len << " byte " << pos << " bit " << bit;
+      }
+    }
+  }
+}
+
+TEST_P(SegmentFuzz, LengthWordDisagreeingWithPayloadRejected) {
+  // A segment whose length word is not its payload size is rejected even
+  // under a valid checksum: a shorter word would drop the trailing bytes.
+  util::Rng rng(GetParam() + 17);
+  for (std::size_t len = 0; len <= 40; ++len) {
+    const auto full = valid_segment(rng, len);
+    const auto real = static_cast<std::uint16_t>(len);
+    for (const std::uint16_t claimed :
+         {std::uint16_t{0}, static_cast<std::uint16_t>(real - 1),
+          static_cast<std::uint16_t>(real + 1), std::uint16_t{0xFFFF}}) {
+      if (claimed == real) continue;
+      auto wire = full;
+      wire[13] = static_cast<std::uint8_t>(claimed >> 8);
+      wire[14] = static_cast<std::uint8_t>(claimed);
+      net::seal_segment(wire);
+      net::Segment seg;
+      EXPECT_FALSE(net::decode_segment(wire, seg))
+          << "len " << len << " claimed " << claimed;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SegmentFuzz,
                          ::testing::Range<std::uint64_t>(1, 5));
 
 // --- RTP sequence wraparound ----------------------------------------------------------

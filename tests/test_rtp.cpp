@@ -252,6 +252,26 @@ class RtpSessionFixture : public ::testing::Test {
 
   void link(net::LinkParams lp) { net_.connect(a_, b_, lp); }
 
+  /// Send fragment `index` of a `count`-fragment frame stamped `ts`, in a
+  /// wire buffer taken from the network's payload pool. Its 100 body bytes
+  /// all equal `index`.
+  void send_fragment(const rtp::RtpReceiver& receiver, std::uint32_t ts,
+                     std::uint16_t index, std::uint16_t count) {
+    const std::vector<std::uint8_t> body(100,
+                                         static_cast<std::uint8_t>(index));
+    rtp::RtpPacket pkt;
+    pkt.header.sequence = next_seq_++;
+    pkt.header.timestamp = ts;
+    pkt.header.ssrc = 1;
+    pkt.frag_index = index;
+    pkt.frag_count = count;
+    pkt.payload = body;
+    auto wire = net_.payload_pool(a_).acquire();
+    rtp::serialize_rtp_into(pkt, wire);
+    net_.send(net::Endpoint{a_, 4000}, receiver.rtp_endpoint(),
+              std::move(wire));
+  }
+
   net::LinkParams clean_link() {
     net::LinkParams lp;
     lp.bandwidth_bps = 20e6;
@@ -263,6 +283,7 @@ class RtpSessionFixture : public ::testing::Test {
   sim::Simulator sim_;
   net::Network net_;
   net::NodeId a_, b_;
+  std::uint16_t next_seq_ = 0;
 };
 
 /// Frame k of a test stream: a checkable media payload whose index is k, so
@@ -272,17 +293,21 @@ std::vector<std::uint8_t> test_frame(int k, std::size_t bytes) {
                                      0, bytes);
 }
 
-/// What a receive callback saw of one frame. The frame's payload is a view
-/// that dies with the callback, so the callback checks the bytes there.
+/// What a receive callback saw of one frame. The frame's fragments are
+/// views that die with the callback, so the callback checks the bytes there.
 struct SeenFrame {
   Time media_time;
+  std::size_t fragments = 0;
   std::size_t bytes = 0;
   std::int64_t verified_index = -1;  // -1: the bytes failed the check
 };
 
 SeenFrame see(const rtp::ReceivedFrame& f) {
-  const auto meta = media::verify_frame_payload(f.payload);
-  return SeenFrame{f.media_time, f.payload.size(), meta ? meta->index : -1};
+  const auto meta = media::verify_frame_payload(f.fragments);
+  std::size_t bytes = 0;
+  for (const auto fragment : f.fragments) bytes += fragment.size();
+  return SeenFrame{f.media_time, f.fragments.size(), bytes,
+                   meta ? meta->index : -1};
 }
 
 TEST_F(RtpSessionFixture, FramesDeliveredWithFragmentation) {
@@ -316,6 +341,7 @@ TEST_F(RtpSessionFixture, FramesDeliveredWithFragmentation) {
   for (int k = 0; k < 10; ++k) {
     const SeenFrame& f = frames[static_cast<size_t>(k)];
     EXPECT_EQ(f.media_time, Time::msec(40 * k));
+    EXPECT_EQ(f.fragments, k % 2 == 0 ? 3u : 1u) << "frame " << k;
     EXPECT_EQ(f.bytes, size_of(k));
     EXPECT_EQ(f.verified_index, k) << "frame " << k;
   }
@@ -343,6 +369,7 @@ TEST_F(RtpSessionFixture, FrameOfMaxFragmentsAssembles) {
 
   EXPECT_EQ(sender.stats().packets_sent, rtp::kMaxFragments);
   ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].fragments, rtp::kMaxFragments);
   EXPECT_EQ(frames[0].bytes, bytes);
   EXPECT_EQ(frames[0].verified_index, 7);
 }
@@ -578,8 +605,73 @@ TEST_F(RtpSessionFixture, ReorderedFragmentsStillAssemble) {
   for (const SeenFrame& f : frames) {
     const int k = static_cast<int>(f.media_time.us() / 25'000);
     EXPECT_EQ(f.verified_index, k) << "frame " << k;
+    EXPECT_EQ(f.fragments, k % 4 == 3 ? 1u : 3u) << "frame " << k;
     EXPECT_EQ(f.bytes, size_of(k)) << "frame " << k;
   }
+}
+
+TEST_F(RtpSessionFixture, EvictedFrameReturnsItsBuffers) {
+  // A frame that never completes holds its fragments' wire buffers until
+  // reassembly_timeout evicts it; eviction gives them back to the pool.
+  link(clean_link());
+  rtp::RtpReceiver::Params rp;
+  rp.rr_interval = Time::sec(3600);
+  rp.reassembly_timeout = Time::msec(100);
+  rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
+  int frames = 0;
+  receiver.set_on_frame([&](const rtp::ReceivedFrame&) { ++frames; });
+  net::PayloadPool& pool = net_.payload_pool(b_);
+  for (int i = 0; i < 4; ++i) pool.release(net::Payload(64));
+  const std::size_t before = pool.size();
+
+  // Fragments 0 and 1 of a 3-fragment frame; fragment 2 never comes.
+  send_fragment(receiver, 3000, 0, 3);
+  send_fragment(receiver, 3000, 1, 3);
+  sim_.run_until(Time::msec(50));
+  EXPECT_EQ(receiver.stats().packets_received, 2);
+  EXPECT_EQ(pool.size(), before - 2);  // held in the slot, not copied out
+
+  // Past the timeout, the next arrival (a one-fragment frame) evicts it.
+  sim_.schedule_at(Time::msec(200),
+                   [&] { send_fragment(receiver, 6000, 0, 1); });
+  sim_.run_until(Time::msec(300));
+  EXPECT_EQ(frames, 1);
+  EXPECT_EQ(receiver.stats().frames_incomplete, 1);
+  EXPECT_EQ(pool.size(), before);
+}
+
+TEST_F(RtpSessionFixture, DuplicateFragmentIsNotHeldTwice) {
+  link(clean_link());
+  rtp::RtpReceiver::Params rp;
+  rp.rr_interval = Time::sec(3600);
+  rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
+  int frames = 0;
+  std::vector<std::size_t> sizes;
+  std::vector<std::uint8_t> first_bytes;
+  receiver.set_on_frame([&](const rtp::ReceivedFrame& f) {
+    ++frames;
+    for (const auto fragment : f.fragments) {
+      sizes.push_back(fragment.size());
+      first_bytes.push_back(fragment.front());
+    }
+  });
+  net::PayloadPool& pool = net_.payload_pool(b_);
+  for (int i = 0; i < 4; ++i) pool.release(net::Payload(64));
+  const std::size_t before = pool.size();
+
+  send_fragment(receiver, 3000, 0, 2);
+  send_fragment(receiver, 3000, 0, 2);  // the same fragment again
+  sim_.run_until(Time::msec(50));
+  EXPECT_EQ(receiver.stats().packets_received, 2);
+  // The slot holds the first copy; the network recycled the duplicate.
+  EXPECT_EQ(pool.size(), before - 1);
+
+  sim_.schedule_at(Time::msec(60), [&] { send_fragment(receiver, 3000, 1, 2); });
+  sim_.run_until(Time::msec(100));
+  EXPECT_EQ(frames, 1);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{100, 100}));
+  EXPECT_EQ(first_bytes, (std::vector<std::uint8_t>{0, 1}));
+  EXPECT_EQ(pool.size(), before);
 }
 
 TEST_F(RtpSessionFixture, SteadyStateReceivePathAllocatesNothing) {
@@ -594,7 +686,7 @@ TEST_F(RtpSessionFixture, SteadyStateReceivePathAllocatesNothing) {
   rtp::RtpReceiver receiver(net_, b_, 0, net::Endpoint{}, rp);
   int verified = 0;
   receiver.set_on_frame([&](const rtp::ReceivedFrame& f) {
-    if (media::verify_frame_payload(f.payload)) ++verified;
+    if (media::verify_frame_payload(f.fragments)) ++verified;
   });
 
   rtp::RtpSender::Params sp;
