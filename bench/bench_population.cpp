@@ -17,16 +17,24 @@
 // every cell of every sweep, so fault injection on the partitioned
 // population is regression-checked here.
 //
+// Every cell runs kRunsPerCell times and reports the median wall time; each
+// run is checked (a sequential rerun against the cell's first run). A
+// partitioned cell also prints two host shares of the executor's time: the
+// busiest partition's share of all partitions' busy time (1/P is perfect
+// balance) and the barrier wait's share of busy plus wait time.
+//
 // --json writes BENCH_population.json, guarded by
 // tools/check_bench_regression.py (events_per_sec per scenario/partitions/
 // threads cell; a non-deterministic fresh run is a hard failure).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -35,6 +43,33 @@
 #include "util/time.hpp"
 
 namespace {
+
+using hyms::hermes::PopulationConfig;
+using hyms::hermes::PopulationResult;
+
+/// Runs behind each cell's wall time (their median). Single runs of the
+/// smoke cells (0.02-0.2 s) spread by tens of percent of their median, more
+/// than the regression guard's 15% budget.
+constexpr int kRunsPerCell = 3;
+
+/// Host shares of the executor's time in one partitioned run (0 on the
+/// sequential kernel): the busiest partition's share of all partitions' busy
+/// time, and the barrier wait's share of busy plus wait time.
+struct Shares {
+  double busiest = 0.0;
+  double wait = 0.0;
+};
+
+Shares executor_shares(const PopulationResult& r) {
+  double busy = 0.0;
+  double busiest = 0.0;
+  for (const double b : r.partition_busy_s) {
+    busy += b;
+    busiest = std::max(busiest, b);
+  }
+  if (busy <= 0.0) return {};
+  return {busiest / busy, r.barrier_wait_s / (busy + r.barrier_wait_s)};
+}
 
 struct Row {
   const char* scenario;
@@ -47,18 +82,58 @@ struct Row {
   std::uint64_t windows = 0;
   std::uint64_t messages = 0;
   bool deterministic = true;
+  Shares shares;
 };
 
-double run_once(const hyms::hermes::PopulationConfig& cfg, int threads,
-                hyms::hermes::PopulationResult& out) {
-  const auto start = std::chrono::steady_clock::now();
-  out = hyms::hermes::run_population(cfg, threads);
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+/// One cell: kRunsPerCell runs of `cfg`, each checked byte-identical to
+/// `reference` (to the cell's own first run when null).
+struct Cell {
+  PopulationResult first;
+  double wall_s = 0.0;  // median run's
+  Shares shares;        // median run's
+  bool identical = true;
+  bool qoe_identical = true;
+};
+
+Cell run_cell(const PopulationConfig& cfg, int threads,
+              const PopulationResult* reference) {
+  Cell cell;
+  std::vector<std::pair<double, Shares>> runs;
+  for (int i = 0; i < kRunsPerCell; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    PopulationResult r = hyms::hermes::run_population(cfg, threads);
+    runs.emplace_back(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count(),
+                      executor_shares(r));
+    const PopulationResult& want =
+        reference != nullptr ? *reference : (i == 0 ? r : cell.first);
+    cell.identical = cell.identical && r.fingerprint == want.fingerprint &&
+                     r.events_csv == want.events_csv &&
+                     r.qoe_json == want.qoe_json;
+    cell.qoe_identical = cell.qoe_identical && r.qoe_json == want.qoe_json;
+    if (i == 0) cell.first = std::move(r);
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::tie(cell.wall_s, cell.shares) = runs[runs.size() / 2];
+  return cell;
 }
 
-void print_fates(const char* scenario, const hyms::hermes::PopulationResult& r) {
+/// The command line as run, for the JSON context.
+std::string command_line(int argc, char** argv) {
+  std::string out = "bench_population";
+  for (int i = 1; i < argc; ++i) {
+    out += ' ';
+    for (const char* c = argv[i]; *c != '\0'; ++c) {
+      if (*c == '"' || *c == '\\') out += '\\';
+      out += *c;
+    }
+  }
+  return out;
+}
+
+void print_fates(const char* scenario, const PopulationResult& r) {
   std::printf("[%s] fates: %lld completed, %lld degraded, %lld churned, "
               "%lld abandoned, %lld rejected, %lld failed, %lld unfinished; "
               "%lld admission rejections; cache %lld hits / %lld misses\n",
@@ -94,7 +169,7 @@ int main(int argc, char** argv) try {
   using hyms::Time;
   namespace bench = hyms::bench;
 
-  hyms::hermes::PopulationConfig cfg;
+  PopulationConfig cfg;
   cfg.sessions = 1000;
   cfg.servers = 4;
   cfg.documents = 12;
@@ -142,37 +217,38 @@ int main(int argc, char** argv) try {
               overload ? ", overload+chaos sweep on" : "", hw,
               hw == 1 ? "" : "s");
 
-  std::vector<std::pair<const char*, hyms::hermes::PopulationConfig>>
-      scenarios;
+  std::vector<std::pair<const char*, PopulationConfig>> scenarios;
   scenarios.emplace_back("base", cfg);
   if (overload) {
     // Overload control trades latency for goodput: sessions the base
     // scenario rejected at the peak are served as the backlog drains, so
     // the horizon must extend past the drain or they count as unfinished.
-    hyms::hermes::PopulationConfig ocfg = cfg;
+    PopulationConfig ocfg = cfg;
     ocfg.overload_control = true;
     ocfg.run_for = ocfg.run_for + Time::sec(15);
     scenarios.emplace_back("overload", ocfg);
     // Chaos rides on top of the overload posture: a server crash mid-flash-
     // crowd (wait queue populated) and a backbone link flap, on the
     // partitioned population, still byte-identical at every thread count.
-    hyms::hermes::PopulationConfig ccfg = ocfg;
+    PopulationConfig ccfg = ocfg;
     ccfg.chaos = true;
     scenarios.emplace_back("chaos", ccfg);
   }
 
   std::vector<Row> rows;
   bool all_deterministic = true;
-  hyms::hermes::PopulationResult base_seq;
+  PopulationResult base_seq;
   Time lookahead = Time::max();
   std::uint64_t seq_events = 0;
 
   for (const auto& [scenario, scfg] : scenarios) {
     // The reference: the plain single-calendar kernel.
-    hyms::hermes::PopulationConfig seq_cfg = scfg;
+    PopulationConfig seq_cfg = scfg;
     seq_cfg.partitions = 1;
-    hyms::hermes::PopulationResult seq;
-    const double seq_wall = run_once(seq_cfg, 1, seq);
+    const Cell seq_cell = run_cell(seq_cfg, 1, nullptr);
+    const PopulationResult& seq = seq_cell.first;
+    const double seq_wall = seq_cell.wall_s;
+    all_deterministic = all_deterministic && seq_cell.identical;
     print_fates(scenario, seq);
     if (rows.empty()) {
       base_seq = seq;
@@ -208,22 +284,20 @@ int main(int argc, char** argv) try {
     rows.push_back(Row{scenario, 1, 1, seq_wall,
                        static_cast<double>(seq.events_executed) / seq_wall,
                        static_cast<double>(scfg.sessions) / seq_wall, 1.0, 0,
-                       0, true});
+                       0, seq_cell.identical, {}});
 
-    hyms::hermes::PopulationConfig par_cfg = scfg;
+    PopulationConfig par_cfg = scfg;
     par_cfg.partitions = partitions;
     for (const int threads : {1, 2, 4}) {
-      hyms::hermes::PopulationResult par;
-      const double wall = run_once(par_cfg, threads, par);
+      const Cell cell = run_cell(par_cfg, threads, &seq);
+      const PopulationResult& par = cell.first;
+      const double wall = cell.wall_s;
       lookahead = par.lookahead;
       Row row{scenario, partitions, threads, wall,
               static_cast<double>(par.events_executed) / wall,
               static_cast<double>(scfg.sessions) / wall, seq_wall / wall,
-              par.windows, par.messages,
-              par.fingerprint == seq.fingerprint &&
-                  par.events_csv == seq.events_csv &&
-                  par.qoe_json == seq.qoe_json};
-      if (par.qoe_json != seq.qoe_json) {
+              par.windows, par.messages, cell.identical, cell.shares};
+      if (!cell.qoe_identical) {
         std::fprintf(stderr,
                      "SLO DIVERGENCE: [%s] QoE export at %u partitions / %d "
                      "threads is not byte-identical to the sequential "
@@ -237,17 +311,24 @@ int main(int argc, char** argv) try {
 
   bench::table_header({"scenario", "partitions", "threads", "wall s",
                        "events/s", "sessions/s", "speedup", "windows",
-                       "messages", "identical"});
+                       "messages", "busiest", "wait", "identical"});
   for (const Row& row : rows) {
-    bench::table_row({row.scenario, std::to_string(row.partitions),
-                      std::to_string(row.threads), bench::fmt(row.wall_s, 3),
-                      bench::fmt(row.events_per_sec, 0),
-                      bench::fmt(row.sessions_per_sec, 1),
-                      bench::fmt(row.speedup, 2), std::to_string(row.windows),
-                      std::to_string(row.messages),
-                      row.deterministic ? "yes" : "NO"});
+    const bool partitioned = row.partitions > 1;
+    bench::table_row(
+        {row.scenario, std::to_string(row.partitions),
+         std::to_string(row.threads), bench::fmt(row.wall_s, 3),
+         bench::fmt(row.events_per_sec, 0), bench::fmt(row.sessions_per_sec, 1),
+         bench::fmt(row.speedup, 2), std::to_string(row.windows),
+         std::to_string(row.messages),
+         partitioned ? bench::fmt(row.shares.busiest, 3) : "-",
+         partitioned ? bench::fmt(row.shares.wait, 3) : "-",
+         row.deterministic ? "yes" : "NO"});
   }
-  std::printf("\n%u partitions, lookahead %lld us, %llu events; parallel runs "
+  std::printf("\nwall s: median of %d runs per cell; busiest: the busiest "
+              "partition's share of busy time; wait: the barrier's share of "
+              "busy + wait time (host)\n",
+              kRunsPerCell);
+  std::printf("%u partitions, lookahead %lld us, %llu events; parallel runs "
               "byte-identical to the sequential kernel: %s\n",
               partitions, static_cast<long long>(lookahead.us()),
               static_cast<unsigned long long>(seq_events),
@@ -261,6 +342,8 @@ int main(int argc, char** argv) try {
     std::string out = bench::json_context("bench_population");
     bench::jsonf(out,
                  ",\n"
+                 "    \"command\": \"%s\",\n"
+                 "    \"runs_per_cell\": %d,\n"
                  "    \"sessions\": %d,\n"
                  "    \"servers\": %d,\n"
                  "    \"documents\": %d,\n"
@@ -280,6 +363,7 @@ int main(int argc, char** argv) try {
                  "  },\n"
                  "  \"deterministic\": %s,\n"
                  "  \"results\": [\n",
+                 command_line(argc, argv).c_str(), kRunsPerCell,
                  cfg.sessions, cfg.servers, cfg.documents, partitions,
                  static_cast<unsigned long long>(cfg.seed),
                  static_cast<long long>(lookahead.us()),
@@ -301,12 +385,18 @@ int main(int argc, char** argv) try {
                    "\"threads\": %d, "
                    "\"wall_s\": %.4f, \"events_per_sec\": %.1f, "
                    "\"sessions_per_sec\": %.2f, \"speedup\": %.3f, "
-                   "\"windows\": %llu, \"messages\": %llu, "
-                   "\"deterministic\": %s}%s\n",
+                   "\"windows\": %llu, \"messages\": %llu, ",
                    row.scenario, row.partitions, row.threads, row.wall_s,
                    row.events_per_sec, row.sessions_per_sec, row.speedup,
                    static_cast<unsigned long long>(row.windows),
-                   static_cast<unsigned long long>(row.messages),
+                   static_cast<unsigned long long>(row.messages));
+      if (row.partitions > 1) {
+        bench::jsonf(out,
+                     "\"busiest_partition_share\": %.3f, "
+                     "\"barrier_wait_share\": %.3f, ",
+                     row.shares.busiest, row.shares.wait);
+      }
+      bench::jsonf(out, "\"deterministic\": %s}%s\n",
                    row.deterministic ? "true" : "false",
                    i + 1 < rows.size() ? "," : "");
     }

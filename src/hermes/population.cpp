@@ -447,6 +447,8 @@ PopulationResult run_population(const PopulationConfig& cfg, int threads) {
   if (parallel) {
     r.windows = exec.stats().windows;
     r.messages = exec.stats().messages;
+    r.partition_busy_s = exec.stats().busy_s;
+    r.barrier_wait_s = exec.stats().wait_s;
   }
   for (const auto& s : sims) r.events_executed += s->executed();
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "media/frame_cache.hpp"
 #include "server/multimedia_server.hpp"
@@ -31,9 +32,10 @@ namespace hyms::hermes {
 /// sequential 0xdfcec2c606685d79). The cause: two requests from clients on
 /// different partitions reach the backbone router in the same microsecond.
 /// A conduit link (a link whose two ends sit on different partitions) arms
-/// its calendar event at the executor barrier, in (earliest, source
-/// partition, sequence) order; the sequential kernel arms the same event at
-/// send time. So the tie can resolve either way.
+/// its calendar event when the destination partition injects its mail at
+/// the start of its next window, in (earliest, source partition, sequence)
+/// order; the sequential kernel arms the same event at send time. So the tie
+/// can resolve either way.
 struct PopulationConfig {
   int sessions = 64;
   int servers = 2;
@@ -129,6 +131,12 @@ struct PopulationResult {
   /// Parallel-executor accounting (0 when partitions == 1).
   std::uint64_t windows = 0;
   std::uint64_t messages = 0;
+  /// Host seconds each partition spent injecting and running, and seconds
+  /// the executor's threads waited at the window barrier (empty and 0 when
+  /// partitions == 1). Host timing: never part of the fingerprint or of any
+  /// identity check.
+  std::vector<double> partition_busy_s;
+  double barrier_wait_s = 0.0;
   Time lookahead;
   /// Shared-cache effectiveness. Reported only — hit/miss split depends on
   /// thread timing, so it is deliberately excluded from the fingerprint.
@@ -137,7 +145,8 @@ struct PopulationResult {
 };
 
 /// Run the population to `cfg.run_for` on `cfg.partitions` kernels advanced
-/// by `threads` worker threads (threads is ignored when partitions == 1).
+/// on `threads` threads, the calling thread included (threads is ignored
+/// when partitions == 1).
 [[nodiscard]] PopulationResult run_population(const PopulationConfig& cfg,
                                               int threads = 1);
 

@@ -209,8 +209,11 @@ void Link::flush_mailbox() {
     earliest = std::min(earliest, item.arrival);
   }
   // earliest >= now + propagation >= now + lookahead, satisfying the
-  // executor's post contract; the thunk runs at the next barrier with no
-  // partition executing, so touching the calendar there is race-free.
+  // executor's post contract. The thunk runs on the destination partition's
+  // thread before its next window and touches only the calendar and the
+  // chain timer, which no source-side code touches, so it is race-free
+  // while other partitions run; every item it parks arrives at or after
+  // `earliest`, so the chain it arms does too.
   exec_->post(src_partition_, dst_partition_, earliest,
               [this, items = std::move(mailbox_)]() mutable {
                 accept_mailed(std::move(items));

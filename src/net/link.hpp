@@ -57,7 +57,8 @@ class Link {
   /// (queue, loss, serialization, jitter — every RNG draw and timestamp)
   /// still runs on `sim` exactly as in the local batched path, but admitted
   /// packets are mailed through `exec`'s post() and parked in the arrival
-  /// calendar at the next executor barrier; the chained delivery event then
+  /// calendar when the destination partition injects its mail, on its own
+  /// thread at the start of its next window; the chained delivery event then
   /// runs on `deliver_sim`. Requires params().propagation >= the executor
   /// lookahead for the lifetime of the link — a push_override() must not
   /// lower a cross link's propagation below it (post() throws when the
@@ -163,13 +164,19 @@ class Link {
   void offer(Packet&& pkt);
   /// Sorted insert into the arrival calendar by (arrival, offer index),
   /// re-arming the chain when the head changes. Shared by the local batched
-  /// path (at offer time) and the conduit path (at the executor barrier).
+  /// path (at offer time) and the conduit path (when the destination
+  /// partition injects its mail).
   void insert_calendar(PendingArrival&& item);
   /// The conduit path: mail the admitted packets buffered by offer() through
-  /// the executor; the thunk parks them in the calendar at the next barrier.
+  /// the executor; the thunk parks them in the calendar before the
+  /// destination partition's next window.
   void flush_mailbox();
-  /// Runs at the executor barrier (no partition executing): park mailed
-  /// packets in the calendar and arm the chain on the delivery simulator.
+  /// The conduit's injection thunk: park mailed packets in the calendar and
+  /// arm the chain on the delivery simulator. Runs on the destination
+  /// partition's thread while other partitions run their windows, so it
+  /// touches only the calendar and chain_timer_, which fire_chain already
+  /// uses on that thread and the source side (offer(), flush_mailbox())
+  /// never does.
   void accept_mailed(std::vector<PendingArrival>&& items);
   /// Fire of the chained arrival event: deliver every calendar item whose
   /// time has come, running ahead of the clock (advance_now per item) while

@@ -339,6 +339,9 @@ void StreamConnection::arm_rto() {
 
 void StreamConnection::on_rto() {
   if (state_ == State::kClosed) return;
+  // An idle connection's timer (nothing outstanding) fires spuriously; only
+  // a SYN retry or a real retransmission timeout counts.
+  if (state_ != State::kSynSent && unacked_bytes() == 0) return;
   ++stats_.timeouts;
 
   if (state_ == State::kSynSent) {
@@ -351,8 +354,6 @@ void StreamConnection::on_rto() {
     arm_rto();
     return;
   }
-
-  if (unacked_bytes() == 0) return;  // spurious
 
   if (state_ == State::kSynReceived) {
     if (++syn_retries_ > params_.max_syn_retries) {

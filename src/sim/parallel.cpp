@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <barrier>
+#include <chrono>
 #include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 namespace hyms::sim {
 
@@ -14,11 +15,14 @@ std::uint32_t ParallelExec::add_partition(Simulator& sim) {
   // Rebuild the (src, dst) mailbox mesh. Partitions must all be registered
   // before the first post(): re-assigning here discards nothing then.
   const std::size_t count = sims_.size();
-  // resize, not assign: Mailed holds a move-only EventFn, so vector<Mailed>
-  // cannot be copy-filled.
-  outbox_.clear();
-  outbox_.resize(count * count);
-  pair_seq_.assign(count * count, 0);
+  for (auto& set : outbox_) {
+    // resize, not assign: Mailed holds a move-only EventFn, so vector<Mailed>
+    // cannot be copy-filled.
+    set.clear();
+    set.resize(count * count);
+  }
+  lanes_.resize(count);
+  stats_.busy_s.assign(count, 0.0);
   return static_cast<std::uint32_t>(count - 1);
 }
 
@@ -38,70 +42,42 @@ void ParallelExec::post(std::uint32_t src, std::uint32_t dst, Time earliest,
         "ParallelExec::post: cross-partition message earlier than the "
         "poster's clock + lookahead");
   }
-  const std::size_t at = src * sims_.size() + dst;
-  auto& box = outbox_[at];
-  box.push_back(Mailed{earliest, pair_seq_[at]++, std::move(inject)});
+  outbox_[parity_][src * sims_.size() + dst].push_back(
+      Mailed{earliest, std::move(inject)});
+  Time& posted = lanes_[src].posted_min;
+  posted = std::min(posted, earliest);
 }
 
-void ParallelExec::inject_all() {
+void ParallelExec::inject(std::size_t dst) {
   const std::size_t count = sims_.size();
-  for (std::size_t dst = 0; dst < count; ++dst) {
-    merge_scratch_.clear();
-    for (std::size_t src = 0; src < count; ++src) {
-      for (auto& m : outbox_[src * count + dst]) {
-        merge_scratch_.push_back(
-            Merged{m.earliest, static_cast<std::uint32_t>(src), m.seq,
-                   &m.inject});
-      }
-    }
-    if (merge_scratch_.empty()) continue;
-    // Canonical merge order: delivery time, then source partition, then the
-    // pair's post sequence. (src, seq) is unique, so the order is total and
-    // independent of both thread count and outbox drain order — the
-    // determinism guarantee lives on this sort.
-    std::sort(merge_scratch_.begin(), merge_scratch_.end(),
-              [](const Merged& a, const Merged& b) {
-                if (a.earliest != b.earliest) return a.earliest < b.earliest;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-    for (auto& m : merge_scratch_) (*m.inject)();
-    stats_.messages += merge_scratch_.size();
-    for (std::size_t src = 0; src < count; ++src) {
-      outbox_[src * count + dst].clear();
+  auto& boxes = outbox_[parity_ ^ 1U];
+  Lane& lane = lanes_[dst];
+  auto& merged = lane.merge;
+  // Cleared before use, not after: a throwing thunk must not leave pointers
+  // into boxes that later posts may reallocate.
+  merged.clear();
+  for (std::size_t src = 0; src < count; ++src) {
+    auto& box = boxes[src * count + dst];
+    for (std::size_t i = 0; i < box.size(); ++i) {
+      merged.push_back(Merged{box[i].earliest, static_cast<std::uint32_t>(src),
+                              static_cast<std::uint32_t>(i), &box[i].inject});
     }
   }
-}
-
-Time ParallelExec::next_time() {
-  Time t = Time::max();
-  for (Simulator* sim : sims_) t = std::min(t, sim->next_event_time());
-  return t;
-}
-
-void ParallelExec::run_window_serial(Time window) {
-  for (Simulator* sim : sims_) sim->run_until(window);
-}
-
-void ParallelExec::run_until(Time deadline, int threads) {
-  const std::size_t count = sims_.size();
-  if (count == 0) return;
-  threads = std::max(1, std::min<int>(threads, static_cast<int>(count)));
-  if (threads == 1) {
-    for (;;) {
-      inject_all();
-      const Time t_min = next_time();
-      if (t_min > deadline) {
-        run_window_serial(deadline);  // advance every clock to the deadline
-        return;
-      }
-      const Time window = window_end(t_min, deadline);
-      run_window_serial(window);
-      ++stats_.windows;
-      stats_.min_window = std::min(stats_.min_window, window - t_min);
-    }
+  if (merged.empty()) return;
+  // Canonical merge order: delivery time, then source partition, then the
+  // pair's post sequence. (src, seq) is unique, so the order is total and
+  // independent of both thread count and outbox drain order — the
+  // determinism guarantee lives on this sort.
+  std::sort(merged.begin(), merged.end(), [](const Merged& a, const Merged& b) {
+    if (a.earliest != b.earliest) return a.earliest < b.earliest;
+    if (a.src != b.src) return a.src < b.src;
+    return a.seq < b.seq;
+  });
+  for (const Merged& m : merged) (*m.inject)();
+  lane.messages += merged.size();
+  for (std::size_t src = 0; src < count; ++src) {
+    boxes[src * count + dst].clear();
   }
-  run_windows_threaded(deadline, threads);
 }
 
 Time ParallelExec::window_end(Time t_min, Time deadline) const {
@@ -119,61 +95,109 @@ Time ParallelExec::window_end(Time t_min, Time deadline) const {
   return std::min(t_min + margin, deadline);
 }
 
-void ParallelExec::run_windows_threaded(Time deadline, int threads) {
+void ParallelExec::run_until(Time deadline, int threads) {
   const std::size_t count = sims_.size();
-  // Barrier-windowed pool: the coordinator (this thread) computes each
-  // window and drains mailboxes between windows; workers run a static
-  // partition slice (p = id, id + T, ...) inside the window. std::barrier
-  // gives the happens-before edges, so the only cross-thread state — the
-  // mailboxes and the partitions' calendars — is handed over race-free.
-  std::barrier<> start_gate(threads + 1);
-  std::barrier<> end_gate(threads + 1);
+  if (count == 0) return;
+  const auto stride = static_cast<std::size_t>(
+      std::clamp(threads, 1, static_cast<int>(count)));
+
+  // What every thread does after the barrier: run the next window, run the
+  // final pass (inject the last mail, advance every clock to the deadline),
+  // or stop where the window left the partitions because one of them threw.
+  enum class Next { kWindow, kFinish, kAbort };
+  Next next = Next::kWindow;
   Time window = Time::zero();
-  bool done = false;
-  std::exception_ptr err;
-  std::mutex err_mu;
 
-  auto worker = [&](int id) {
-    for (;;) {
-      start_gate.arrive_and_wait();
-      if (done) return;
-      for (std::size_t p = static_cast<std::size_t>(id); p < count;
-           p += static_cast<std::size_t>(threads)) {
-        try {
-          sims_[p]->run_until(window);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(err_mu);
-          if (!err) err = std::current_exception();
-        }
-      }
-      end_gate.arrive_and_wait();
+  // The barrier's completion step, run once per window while every thread is
+  // parked (and once on the caller before the first window): the mail posted
+  // in the window just run becomes the inbound set, and the next window
+  // opens at the earliest time any partition reported. A thunk schedules at
+  // or after its mail's `earliest`, so that minimum bounds every pending
+  // event, injected or not.
+  auto close_window = [&]() noexcept {
+    parity_ ^= 1U;
+    Time t_min = Time::max();
+    bool failed = false;
+    for (Lane& lane : lanes_) {
+      t_min = std::min({t_min, lane.next_event, lane.posted_min});
+      lane.posted_min = Time::max();
+      failed = failed || lane.error != nullptr;
+    }
+    if (failed) {
+      next = Next::kAbort;
+    } else if (t_min > deadline) {
+      next = Next::kFinish;
+    } else {
+      window = window_end(t_min, deadline);
+      ++stats_.windows;
+      stats_.min_window = std::min(stats_.min_window, window - t_min);
     }
   };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-
-  auto shut_down = [&] {
-    done = true;
-    start_gate.arrive_and_wait();
-    for (auto& thread : pool) thread.join();
-  };
-
-  for (;;) {
-    inject_all();
-    const Time t_min = next_time();
-    if (t_min > deadline || err) {
-      shut_down();
-      if (err) std::rethrow_exception(err);
-      run_window_serial(deadline);
-      return;
-    }
-    window = window_end(t_min, deadline);
-    start_gate.arrive_and_wait();
-    end_gate.arrive_and_wait();
-    ++stats_.windows;
-    stats_.min_window = std::min(stats_.min_window, window - t_min);
+  for (std::size_t p = 0; p < count; ++p) {
+    lanes_[p].next_event = sims_[p]->next_event_time();
   }
+  close_window();
+
+  std::barrier sync(static_cast<std::ptrdiff_t>(stride), close_window);
+  using Clock = std::chrono::steady_clock;
+  // Thread `id` runs partitions id, id + stride, ... in every window, the
+  // calling thread slice 0. Each partition first injects the mail addressed
+  // to it, on its own thread, then runs the window. Returns the time the
+  // thread spent at the barrier (a lone thread has none: it runs the
+  // completion step itself).
+  auto run_slice = [&](std::size_t id) {
+    Clock::duration wait{};
+    auto mark = Clock::now();
+    for (;;) {
+      const Time until = next == Next::kWindow ? window : deadline;
+      for (std::size_t p = id; p < count; p += stride) {
+        Lane& lane = lanes_[p];
+        try {
+          inject(p);
+          sims_[p]->run_until(until);
+        } catch (...) {
+          if (lane.error == nullptr) lane.error = std::current_exception();
+        }
+        lane.next_event = sims_[p]->next_event_time();
+        const auto now = Clock::now();
+        lane.busy += now - mark;
+        mark = now;
+      }
+      if (next != Next::kWindow) return wait;
+      if (stride == 1) {
+        close_window();
+      } else {
+        sync.arrive_and_wait();
+        const auto now = Clock::now();
+        wait += now - mark;
+        mark = now;
+      }
+      if (next == Next::kAbort) return wait;
+    }
+  };
+
+  std::vector<Clock::duration> waits(stride);
+  std::vector<std::thread> pool;
+  pool.reserve(stride - 1);
+  for (std::size_t id = 1; id < stride; ++id) {
+    pool.emplace_back([&run_slice, &waits, id] { waits[id] = run_slice(id); });
+  }
+  waits[0] = run_slice(0);
+  for (auto& thread : pool) thread.join();
+
+  const auto seconds = [](Clock::duration d) {
+    return std::chrono::duration<double>(d).count();
+  };
+  for (const Clock::duration w : waits) stats_.wait_s += seconds(w);
+  std::exception_ptr error;
+  for (std::size_t p = 0; p < count; ++p) {
+    Lane& lane = lanes_[p];
+    stats_.messages += std::exchange(lane.messages, 0);
+    stats_.busy_s[p] += seconds(std::exchange(lane.busy, {}));
+    if (error == nullptr) error = lane.error;
+    lane.error = nullptr;
+  }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace hyms::sim

@@ -4,7 +4,8 @@
 // conduit calendar's order among equal arrivals.
 // Full-stack partitioned-vs-sequential byte-identity lives in
 // test_population. CI additionally runs this binary under TSan to prove the
-// barrier-windowed handoff is race-free.
+// barrier-windowed handoff and each partition's injection of its own mail
+// are race-free.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -308,6 +309,57 @@ TEST(ParallelExecTest, PartitionExceptionPropagatesToCaller) {
   s1.schedule_at(Time::msec(1),
                  [] { throw std::runtime_error("partition boom"); });
   EXPECT_THROW(exec.run_until(Time::msec(5), 2), std::runtime_error);
+}
+
+/// An injection thunk runs on the thread that runs its destination; what it
+/// throws reaches the caller too, once every thread has joined.
+TEST(ParallelExecTest, ThrowingThunkPropagatesToCaller) {
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    sim::Simulator s0, s1;
+    sim::ParallelExec exec;
+    exec.add_partition(s0);
+    exec.add_partition(s1);
+    exec.set_lookahead(Time::msec(1));
+    s0.schedule_at(Time::msec(1), [&exec] {
+      exec.post(0, 1, Time::msec(2),
+                [] { throw std::runtime_error("thunk boom"); });
+    });
+    EXPECT_THROW(exec.run_until(Time::msec(5), threads), std::runtime_error);
+  }
+}
+
+/// Host time is reported per partition (inject plus run) and at the
+/// barrier; both partitions did work, so each reads above zero.
+TEST(ParallelExecTest, StatsReportBusyTimePerPartition) {
+  sim::Simulator s0, s1;
+  sim::ParallelExec exec;
+  exec.add_partition(s0);
+  exec.add_partition(s1);
+  exec.set_lookahead(Time::msec(1));
+  sim::Simulator* sims[2] = {&s0, &s1};
+  int delivered[2] = {0, 0};  // one counter per partition's thread
+  // Each partition mails the other once a millisecond.
+  for (std::uint32_t p = 0; p < 2; ++p) {
+    for (int ms = 0; ms < 50; ++ms) {
+      sims[p]->schedule_at(Time::msec(ms), [&, p] {
+        const std::uint32_t other = 1 - p;
+        const Time arrival = sims[p]->now() + Time::msec(1);
+        exec.post(p, other, arrival, [&, other, arrival] {
+          sims[other]->schedule_at(arrival,
+                                   [&delivered, other] { ++delivered[other]; });
+        });
+      });
+    }
+  }
+  exec.run_until(Time::msec(100), 2);
+  EXPECT_EQ(delivered[0], 50);
+  EXPECT_EQ(delivered[1], 50);
+  EXPECT_EQ(exec.stats().messages, 100u);
+  ASSERT_EQ(exec.stats().busy_s.size(), 2u);
+  EXPECT_GT(exec.stats().busy_s[0], 0.0);
+  EXPECT_GT(exec.stats().busy_s[1], 0.0);
+  EXPECT_GE(exec.stats().wait_s, 0.0);
 }
 
 /// A cross-partition message earlier than the poster's clock + lookahead

@@ -105,6 +105,23 @@ TEST_F(TcpFixture, LargeTransferIntactOnCleanLink) {
   EXPECT_EQ(client->stats().retransmissions, 0);
 }
 
+/// A connection that goes idle still takes its armed RTO event, but with
+/// nothing outstanding that event is no timeout: a loss-free transfer reads
+/// none at either end.
+TEST_F(TcpFixture, CleanTransferCountsNoTimeouts) {
+  link();
+  auto server = serve(100);
+  auto client = net::StreamConnection::connect(net_, a_, net::Endpoint{b_, 100});
+  const auto data = pattern(10'000);
+  client->send(data);
+  sim_.run_until(Time::sec(5));
+  ASSERT_EQ(server.received, data);
+  ASSERT_NE(server.conn, nullptr);
+  EXPECT_EQ(client->stats().retransmissions, 0);
+  EXPECT_EQ(client->stats().timeouts, 0);
+  EXPECT_EQ(server.conn->stats().timeouts, 0);
+}
+
 // The transport's core promise as a property: any loss rate, exact bytes.
 class TcpLossTransfer : public TcpFixture,
                         public ::testing::WithParamInterface<double> {};
@@ -222,6 +239,8 @@ TEST_F(TcpFixture, ConnectToNothingTimesOut) {
   sim_.run_until(Time::sec(10));
   EXPECT_TRUE(closed);
   EXPECT_TRUE(client->closed());
+  // Every SYN timeout counts: two retries, then the one that gives up.
+  EXPECT_EQ(client->stats().timeouts, 3);
 }
 
 TEST_F(TcpFixture, FastRetransmitTriggersOnIsolatedLoss) {
